@@ -3,18 +3,18 @@
 Subcommands: ``metrics``, ``simulate <fig1..fig6>``, ``hits``,
 ``calibrate``. Machine output (JSON/CSV) goes to stdout or files; human
 diagnostics go to stderr. Exit codes: 0 success, 2 input/config validation
-error, 3 numeric error. The ``ASSAYQC_THREADS`` env var caps parallel
-trial workers in the simulation runners.
+error, 3 numeric error. ``simulate`` and ``calibrate`` write their CSVs
+and a manifest through ``scenarios.emit_run``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,9 @@ from .hits import (
     select_hits,
 )
 from .plates import EXPECTED_HEADER, Plate, load_plate_csv
-from .report import RunManifest, __version__, compute_metric_report, json_dumps
+from .report import __version__, compute_metric_report, json_dumps
 from .samples import SampleSet
-from .scenarios import SCENARIO_NAMES, load_config_file, run_scenario
+from .scenarios import SCENARIO_NAMES, emit_run, load_config_file, run_scenario
 from .simulation import DEFAULT_CALIBRATION_SIZES, DistributionSpec, calibrate_null
 
 GROUP_HEADER = ["group", "value"]
@@ -253,32 +253,16 @@ def _cmd_hits(args) -> int:
 def _cmd_calibrate(args) -> int:
     dist = DistributionSpec(args.dist, args.location, args.scale)
     table = calibrate_null(args.sizes, args.trials, dist, args.seed, bins=args.bins)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     columns = ["dist", "n", "mean", "variance", "min", "max", "p95", "p99", "p999",
                "mean_signed"]
-    lines = [",".join(columns)]
-    for row in table.rows:
-        lines.append(",".join([args.dist] + [
-            f"{getattr(row, c):.12g}" if isinstance(getattr(row, c), float)
-            else str(getattr(row, c))
-            for c in columns[1:]
-        ]))
-    csv_path = out / "null_calibration.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-    manifest = RunManifest(
-        subcommand="calibrate",
-        config={
-            "sizes": list(args.sizes), "trials": args.trials, "dist": args.dist,
-            "location": args.location, "scale": args.scale, "bins": args.bins,
-        },
-        seed=args.seed,
-        outputs={csv_path.name: hashlib.sha256(csv_path.read_bytes()).hexdigest()},
-    )
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8", newline="\n")
-    print(csv_path, file=sys.stderr)
+    rows = [{"dist": args.dist, **asdict(row)} for row in table.rows]
+    config = {
+        "sizes": list(args.sizes), "trials": args.trials, "dist": args.dist,
+        "location": args.location, "scale": args.scale, "bins": args.bins,
+    }
+    written = emit_run(args.out_dir, {"null_calibration.csv": (columns, rows)},
+                       "calibrate", config, args.seed)
+    print(written[0], file=sys.stderr)
     return 0
 
 

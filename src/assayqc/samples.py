@@ -63,15 +63,15 @@ class SummaryStats:
             raise ValueError("count must be positive")
         object.__setattr__(self, "std_dev", float(np.sqrt(self.variance)))
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> "SummaryStats":
+        """Moments of a 1-D float array; a single value is degenerate (variance 0)."""
+        if values.size == 1:
+            return cls(mean=float(values[0]), variance=0.0, count=1, degenerate=True)
+        return cls(mean=float(values.mean()), variance=float(values.var(ddof=1)),
+                   count=int(values.size))
+
 
 def summarize(samples: SampleSet) -> SummaryStats:
     """Arithmetic mean and unbiased (n-1) sample variance of a group."""
-    v = samples.values
-    n = v.size
-    if n == 1:
-        return SummaryStats(mean=float(v[0]), variance=0.0, count=1, degenerate=True)
-    return SummaryStats(
-        mean=float(v.mean()),
-        variance=float(v.var(ddof=1)),
-        count=int(n),
-    )
+    return SummaryStats.of(samples.values)

@@ -21,6 +21,7 @@ from .report import RunManifest
 from .samples import SampleSet
 from .simulation import (
     DistributionSpec,
+    GridPoint,
     ScenarioConfig,
     ScenarioResult,
     add_awgn,
@@ -133,9 +134,9 @@ def write_tidy_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _result_rows(scenario: str, result: ScenarioResult, extra: dict | None = None) -> list[dict]:
+def _result_rows(scenario: str, points: list[GridPoint], extra: dict | None = None) -> list[dict]:
     rows = []
-    for point in result.points:
+    for point in points:
         for metric, agg in point.metrics.items():
             for agg_name in ("mean", "std", "min", "max"):
                 row = {"scenario": scenario}
@@ -183,7 +184,7 @@ def _run_fig1(cfg: dict, seed: int, bins: int | None):
             bins=bins,
         )
         result = run_mean_difference_sweep(sweep)
-        rows = _result_rows("fig1", result, {"sigma": float(sigma)})
+        rows = _result_rows("fig1", result.points, {"sigma": float(sigma)})
         files[f"fig1_sigma{sigma}.csv"] = (
             ["scenario", "sigma", "mu_diff", "metric", "aggregate", "value"],
             rows,
@@ -201,7 +202,7 @@ def _run_fig2(cfg: dict, seed: int, bins: int | None):
         bins=bins,
     )
     result = run_mean_difference_sweep(sweep)
-    rows = _result_rows("fig2", result, {"shape": float(cfg["shape"])})
+    rows = _result_rows("fig2", result.points, {"shape": float(cfg["shape"])})
     return {
         "fig2_lognormal.csv": (
             ["scenario", "shape", "mu_diff", "metric", "aggregate", "value"],
@@ -222,7 +223,7 @@ def _run_fig3(cfg: dict, seed: int, bins: int | None):
         bins=bins,
     )
     result = run_outlier_sweep(sweep)
-    rows = _result_rows("fig3", result)
+    rows = _result_rows("fig3", result.points)
     return {
         "fig3_outliers.csv": (
             ["scenario", "fraction", "outlier_mean", "metric", "aggregate", "value"],
@@ -248,7 +249,7 @@ def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     base_cols = ["scenario", "mu_diff", "snr_db", "metric", "aggregate", "value"]
     result = _noise_sweep(cfg, cfg["n"], _panel_seed(seed, 0), bins)
     files = {
-        f"{name}_panelA.csv": (base_cols, _result_rows(name, result)),
+        f"{name}_panelA.csv": (base_cols, _result_rows(name, result.points)),
         f"{name}_panelB.csv": (
             base_cols,
             _scaled_rows(name, result, curve_key="mu_diff", axis_key="snr_db"),
@@ -257,7 +258,7 @@ def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     rows_c = []
     for k, size in enumerate(cfg["panel_c_sizes"]):
         res_k = _noise_sweep(cfg, int(size), _panel_seed(seed, 1, k), bins)
-        rows_c.extend(_result_rows(name, res_k, {"n": int(size)}))
+        rows_c.extend(_result_rows(name, res_k.points, {"n": int(size)}))
     files[f"{name}_panelC.csv"] = (
         ["scenario", "n", "mu_diff", "snr_db", "metric", "aggregate", "value"],
         rows_c,
@@ -271,13 +272,10 @@ def _run_fig5(cfg: dict, seed: int, bins: int | None):
     # Panel D: repeated small subsamples vs the direct full-group estimate.
     size, repeats = cfg["subsample_size"], cfg["subsample_repeats"]
     panel_seed = _panel_seed(seed, 2)
-    rows = []
+    points = []
     for i, d in enumerate(cfg["mu_diffs"]):
         for j, snr in enumerate(cfg["snr_db"]):
-            per_metric: dict[str, list[float]] = {
-                "gssmd_subsampled": [], "ssmd_subsampled": [],
-                "gssmd_full": [], "ssmd_full": [],
-            }
+            trials = []
             for t in range(cfg["trials"]):
                 base = draw(DistributionSpec.normal(0.0, 1.0), cfg["n"],
                             derive_seed(panel_seed, i, j, t, 0))
@@ -291,21 +289,12 @@ def _run_fig5(cfg: dict, seed: int, bins: int | None):
                 full = run_subsampled_estimate(
                     neg, pos, cfg["n"], 1, derive_seed(panel_seed, i, j, t, 4), bins
                 )
-                per_metric["gssmd_subsampled"].append(sub.mean_gssmd)
-                per_metric["ssmd_subsampled"].append(sub.mean_ssmd)
-                per_metric["gssmd_full"].append(full.mean_gssmd)
-                per_metric["ssmd_full"].append(full.mean_ssmd)
-            for metric, vals in per_metric.items():
-                arr = np.asarray(vals)
-                for agg_name, v in (
-                    ("mean", arr.mean()), ("std", arr.std()),
-                    ("min", arr.min()), ("max", arr.max()),
-                ):
-                    rows.append({
-                        "scenario": "fig5", "mu_diff": float(d), "snr_db": float(snr),
-                        "subsample_size": size, "repeats": repeats,
-                        "metric": metric, "aggregate": agg_name, "value": float(v),
-                    })
+                trials.append({
+                    "gssmd_subsampled": sub.mean_gssmd, "ssmd_subsampled": sub.mean_ssmd,
+                    "gssmd_full": full.mean_gssmd, "ssmd_full": full.mean_ssmd,
+                })
+            points.append(GridPoint.of({"mu_diff": float(d), "snr_db": float(snr)}, trials))
+    rows = _result_rows("fig5", points, {"subsample_size": size, "repeats": repeats})
     files["fig5_panelD.csv"] = (
         ["scenario", "mu_diff", "snr_db", "subsample_size", "repeats",
          "metric", "aggregate", "value"],
@@ -348,6 +337,32 @@ _RUNNERS = {
 }
 
 
+def emit_run(
+    out_dir, files: dict[str, tuple[list[str], list[dict]]], subcommand: str,
+    config: dict, seed: int,
+) -> list[Path]:
+    """Write each ``filename: (columns, rows)`` table as a CSV, then manifest.json.
+
+    The manifest records the sha256 of every CSV. Returns the written paths
+    (manifest last).
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    hashes = {}
+    for filename, (columns, rows) in files.items():
+        path = out / filename
+        write_tidy_csv(path, columns, rows)
+        hashes[filename] = hashlib.sha256(path.read_bytes()).hexdigest()
+        written.append(path)
+
+    manifest = RunManifest(subcommand=subcommand, config=config, seed=seed, outputs=hashes)
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(manifest.to_json(), encoding="utf-8", newline="\n")
+    written.append(manifest_path)
+    return written
+
+
 def run_scenario(
     name: str,
     seed: int,
@@ -367,25 +382,5 @@ def run_scenario(
     if bins is None:
         bins = replayed_bins
     cfg = resolve_config(name, overrides)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     files = _RUNNERS[name](cfg, seed, bins)
-    written = []
-    hashes = {}
-    for filename, (columns, rows) in files.items():
-        path = out / filename
-        write_tidy_csv(path, columns, rows)
-        hashes[filename] = hashlib.sha256(path.read_bytes()).hexdigest()
-        written.append(path)
-
-    manifest = RunManifest(
-        subcommand="simulate",
-        config={"scenario": name, **cfg, "bins": bins},
-        seed=seed,
-        outputs=hashes,
-    )
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(manifest.to_json(), encoding="utf-8", newline="\n")
-    written.append(manifest_path)
-    return written
+    return emit_run(out_dir, files, "simulate", {"scenario": name, **cfg, "bins": bins}, seed)

@@ -1,26 +1,23 @@
 """Seeded generators and scenario runners for the simulation studies.
 
 Determinism contract: every runner's output is a pure function of its
-config and master seed. Per-trial generators are derived from the master
-seed and the (grid index, trial index) tuple via ``derive_seed``, and trial
-results are always gathered in index order, so serial and thread-pool
-execution produce bit-identical results. The ``ASSAYQC_THREADS`` env var
-caps the worker count (default: serial).
+config and master seed. Trials run serially; each draws from its own
+generator, derived from the master seed and the (grid index..., trial
+index, stream) tuple via ``derive_seed``, so a trial can be recomputed on
+its own from that key.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import metrics
 from .errors import ConfigError, InvalidSubsampleSize, ZeroPowerSignal
 from .overlap import _gssmd_from_arrays
-from .samples import SampleSet, SummaryStats, summarize
+from .samples import SampleSet, SummaryStats
 
 NORMAL = "normal"
 LOGNORMAL = "lognormal"
@@ -60,6 +57,10 @@ class DistributionSpec:
 def derive_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
     """Child seed as a pure function of the master seed and an index tuple."""
     return np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
+
+
+def _rng(master_seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(derive_seed(master_seed, *key))
 
 
 def _sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -114,24 +115,7 @@ def add_awgn(signal: SampleSet, snr_db: float, seed) -> SampleSet:
     return SampleSet(v + rng.normal(0.0, np.sqrt(noise_var), v.size), label=signal.label)
 
 
-# --- trial execution ---------------------------------------------------------
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ASSAYQC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn: Callable[[int], dict], n_trials: int) -> list[dict]:
-    """Run fn(0..n_trials-1), results in trial-index order regardless of workers."""
-    workers = _worker_count()
-    if workers <= 1 or n_trials <= 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
+# --- sweeps -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -156,6 +140,12 @@ class GridPoint:
     params: dict[str, float]
     metrics: dict[str, TrialAggregate]
 
+    @classmethod
+    def of(cls, params: dict[str, float], trials: list[dict[str, float]]) -> "GridPoint":
+        """Aggregate per-trial ``{metric: value}`` dicts, keeping metric order."""
+        return cls(params, {name: TrialAggregate.of([t[name] for t in trials])
+                            for name in trials[0]})
+
 
 @dataclass
 class ScenarioResult:
@@ -168,21 +158,13 @@ class ScenarioResult:
 
 
 def _pair_metrics(neg: np.ndarray, pos: np.ndarray, bins: int | None) -> dict[str, float]:
-    s_neg = SummaryStats(mean=float(neg.mean()), variance=float(neg.var(ddof=1)), count=neg.size)
-    s_pos = SummaryStats(mean=float(pos.mean()), variance=float(pos.var(ddof=1)), count=pos.size)
+    s_neg, s_pos = SummaryStats.of(neg), SummaryStats.of(pos)
     ov = _gssmd_from_arrays(neg, pos, bins)
     return {
         "z_factor": metrics.z_factor(s_pos, s_neg),
         "ssmd": metrics.ssmd(s_pos, s_neg),
         "gssmd": ov.gssmd,
         "ovl": ov.ovl,
-    }
-
-
-def _aggregate(trials: list[dict[str, float]]) -> dict[str, TrialAggregate]:
-    return {
-        name: TrialAggregate.of([t[name] for t in trials])
-        for name in trials[0]
     }
 
 
@@ -227,13 +209,12 @@ def run_mean_difference_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     points = []
     for i, d in enumerate(cfg.mu_diffs):
         pos_spec = cfg.neg.shifted(d)
-
-        def one_trial(t: int, i: int = i, pos_spec: DistributionSpec = pos_spec):
-            neg = _sample(cfg.neg, cfg.n, np.random.default_rng(derive_seed(cfg.seed, i, t, 0)))
-            pos = _sample(pos_spec, cfg.n, np.random.default_rng(derive_seed(cfg.seed, i, t, 1)))
-            return _pair_metrics(neg, pos, cfg.bins)
-
-        points.append(GridPoint({"mu_diff": float(d)}, _aggregate(_map_trials(one_trial, cfg.trials))))
+        trials = []
+        for t in range(cfg.trials):
+            neg = _sample(cfg.neg, cfg.n, _rng(cfg.seed, i, t, 0))
+            pos = _sample(pos_spec, cfg.n, _rng(cfg.seed, i, t, 1))
+            trials.append(_pair_metrics(neg, pos, cfg.bins))
+        points.append(GridPoint.of({"mu_diff": float(d)}, trials))
     return ScenarioResult("mean_difference", points, cfg.n, cfg.trials, cfg.seed, cfg.bins)
 
 
@@ -250,18 +231,14 @@ def run_outlier_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     for i, frac in enumerate(cfg.outlier_fractions):
         for j, om in enumerate(cfg.outlier_means):
             outlier = DistributionSpec.normal(om, cfg.outlier_scale)
-
-            def one_trial(t: int, i: int = i, j: int = j, frac: float = frac,
-                          outlier: DistributionSpec = outlier):
+            trials = []
+            for t in range(cfg.trials):
                 neg = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, j, t, 0))
                 pos = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, j, t, 1))
                 pos = inject_outliers(pos, frac, outlier, derive_seed(cfg.seed, i, j, t, 2))
-                return _pair_metrics(neg.values, pos.values, cfg.bins)
-
-            points.append(GridPoint(
-                {"fraction": float(frac), "outlier_mean": float(om)},
-                _aggregate(_map_trials(one_trial, cfg.trials)),
-            ))
+                trials.append(_pair_metrics(neg.values, pos.values, cfg.bins))
+            params = {"fraction": float(frac), "outlier_mean": float(om)}
+            points.append(GridPoint.of(params, trials))
     return ScenarioResult("outliers", points, cfg.n, cfg.trials, cfg.seed, cfg.bins)
 
 
@@ -279,17 +256,13 @@ def run_noise_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     points = []
     for i, d in enumerate(cfg.mu_diffs):
         for j, snr in enumerate(cfg.snr_db):
-
-            def one_trial(t: int, i: int = i, j: int = j, d: float = d, snr: float = snr):
-                base = _sample(cfg.neg, cfg.n, np.random.default_rng(derive_seed(cfg.seed, i, j, t, 0)))
+            trials = []
+            for t in range(cfg.trials):
+                base = _sample(cfg.neg, cfg.n, _rng(cfg.seed, i, j, t, 0))
                 neg = add_awgn(SampleSet(base), snr, derive_seed(cfg.seed, i, j, t, 1))
                 pos = add_awgn(SampleSet(base + d), snr, derive_seed(cfg.seed, i, j, t, 2))
-                return _pair_metrics(neg.values, pos.values, cfg.bins)
-
-            points.append(GridPoint(
-                {"mu_diff": float(d), "snr_db": float(snr)},
-                _aggregate(_map_trials(one_trial, cfg.trials)),
-            ))
+                trials.append(_pair_metrics(neg.values, pos.values, cfg.bins))
+            points.append(GridPoint.of({"mu_diff": float(d), "snr_db": float(snr)}, trials))
     return ScenarioResult("noise", points, cfg.n, cfg.trials, cfg.seed, cfg.bins)
 
 
@@ -324,7 +297,7 @@ def run_subsampled_estimate(
         a = neg.values[rng.choice(len(neg), subsample_size, replace=False)]
         b = pos.values[rng.choice(len(pos), subsample_size, replace=False)]
         gs.append(_gssmd_from_arrays(a, b, bins).gssmd)
-        ss.append(metrics.ssmd(summarize(SampleSet(b)), summarize(SampleSet(a))))
+        ss.append(metrics.ssmd(SummaryStats.of(b), SummaryStats.of(a)))
     return SubsampleEstimate(float(np.mean(gs)), float(np.mean(ss)))
 
 
@@ -374,7 +347,8 @@ def calibrate_null(
 
     For each size, ``trials`` independent pairs are drawn i.i.d. from
     ``dist`` and GSSMD recorded; the table holds per-size moments and the
-    95th/99th/99.9th percentiles of |GSSMD|. Deterministic given the seed.
+    95th/99th/99.9th percentiles of |GSSMD|. ``bins`` overrides the bin
+    rule as in ``gssmd``. Deterministic given the seed.
     """
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
@@ -386,13 +360,11 @@ def calibrate_null(
 
     rows = []
     for i, n in enumerate(sizes):
-
-        def one_trial(t: int, i: int = i, n: int = n):
-            neg = _sample(dist, n, np.random.default_rng(derive_seed(seed, i, t, 0)))
-            pos = _sample(dist, n, np.random.default_rng(derive_seed(seed, i, t, 1)))
-            return {"gssmd": _gssmd_from_arrays(neg, pos).gssmd}
-
-        signed = np.array([r["gssmd"] for r in _map_trials(one_trial, trials)])
+        signed = np.empty(trials)
+        for t in range(trials):
+            neg = _sample(dist, n, _rng(seed, i, t, 0))
+            pos = _sample(dist, n, _rng(seed, i, t, 1))
+            signed[t] = _gssmd_from_arrays(neg, pos, bins).gssmd
         abs_vals = np.abs(signed)
         p95, p99, p999 = np.percentile(abs_vals, [95.0, 99.0, 99.9])
         rows.append(NullCalibrationRow(

@@ -297,6 +297,16 @@ class TestCalibrateCommand:
         assert manifest["subcommand"] == "calibrate"
         assert manifest["seed"] == 4
 
+    def test_bins_override_changes_table(self, tmp_path):
+        argv = ["calibrate", "--seed", "4", "--sizes", "10", "100", "--trials", "150"]
+        assert main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--bins", "2", "--out-dir", str(tmp_path / "bins2")]) == 0
+        default = (tmp_path / "default" / "null_calibration.csv").read_bytes()
+        bins2 = (tmp_path / "bins2" / "null_calibration.csv").read_bytes()
+        assert bins2 != default
+        manifest = json.loads((tmp_path / "bins2" / "manifest.json").read_text())
+        assert manifest["config"]["bins"] == 2
+
     def test_too_few_trials_exits_2(self, tmp_path):
         assert main(["calibrate", "--seed", "4", "--sizes", "10",
                      "--trials", "10", "--out-dir", str(tmp_path)]) == 2

@@ -4,9 +4,12 @@ import pytest
 from assayqc import (
     ConfigError,
     DistributionSpec,
+    GridPoint,
     InvalidSubsampleSize,
+    NullCalibrationRow,
     SampleSet,
     ScenarioConfig,
+    TrialAggregate,
     ZeroPowerSignal,
     add_awgn,
     calibrate_null,
@@ -20,9 +23,52 @@ from assayqc import (
     run_subsampled_estimate,
     ssmd,
     summarize,
+    z_factor,
 )
 
 NORMAL = DistributionSpec.normal(0, 1)
+
+
+def _moments(values):
+    a = np.asarray(values)
+    return TrialAggregate(float(a.mean()), float(a.std()), float(a.min()), float(a.max()))
+
+
+def recomputed_sweep_points(cfg):
+    """run_mean_difference_sweep rebuilt trial by trial from derive_seed(seed, i, t, group)."""
+    points = []
+    for i, d in enumerate(cfg.mu_diffs):
+        per_metric = {"z_factor": [], "ssmd": [], "gssmd": [], "ovl": []}
+        for t in range(cfg.trials):
+            neg = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, t, 0))
+            pos = draw(cfg.neg.shifted(d), cfg.n, derive_seed(cfg.seed, i, t, 1))
+            s_neg, s_pos = summarize(neg), summarize(pos)
+            overlap = gssmd(neg, pos, cfg.bins)
+            per_metric["z_factor"].append(z_factor(s_pos, s_neg))
+            per_metric["ssmd"].append(ssmd(s_pos, s_neg))
+            per_metric["gssmd"].append(overlap.gssmd)
+            per_metric["ovl"].append(overlap.ovl)
+        points.append(GridPoint({"mu_diff": float(d)},
+                                {k: _moments(v) for k, v in per_metric.items()}))
+    return points
+
+
+def recomputed_null_rows(sizes, trials, dist, seed, bins=None):
+    """calibrate_null rebuilt trial by trial from derive_seed(seed, i, t, group)."""
+    rows = []
+    for i, n in enumerate(sizes):
+        signed = np.array([
+            gssmd(draw(dist, n, derive_seed(seed, i, t, 0)),
+                  draw(dist, n, derive_seed(seed, i, t, 1)), bins).gssmd
+            for t in range(trials)
+        ])
+        a = np.abs(signed)
+        p95, p99, p999 = np.percentile(a, [95.0, 99.0, 99.9])
+        rows.append(NullCalibrationRow(
+            n, float(a.mean()), float(a.var(ddof=1)), float(a.min()), float(a.max()),
+            float(p95), float(p99), float(p999), float(signed.mean()),
+        ))
+    return rows
 
 
 class TestDraw:
@@ -258,6 +304,11 @@ class TestCalibrateNull:
         se = vals.std(ddof=1) / np.sqrt(trials)
         assert abs(vals.mean()) <= 3 * se
 
+    def test_bins_override_reaches_binning(self):
+        table = calibrate_null([10, 100], 120, NORMAL, 41, bins=2)
+        assert table.rows == recomputed_null_rows([10, 100], 120, NORMAL, 41, bins=2)
+        assert table.rows != calibrate_null([10, 100], 120, NORMAL, 41).rows
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             calibrate_null([], 200, NORMAL, 1)
@@ -265,18 +316,13 @@ class TestCalibrateNull:
             calibrate_null([10], 50, NORMAL, 1)
 
 
-class TestDeterminismUnderParallelism:
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        cfg = ScenarioConfig(neg=NORMAL, mu_diffs=(0.0, 2.0), n=500, seed=31, trials=8)
-        monkeypatch.setenv("ASSAYQC_THREADS", "1")
-        serial = run_mean_difference_sweep(cfg)
-        monkeypatch.setenv("ASSAYQC_THREADS", "4")
-        threaded = run_mean_difference_sweep(cfg)
-        assert serial.points == threaded.points
+class TestSeedLayout:
+    """Every trial is a pure function of derive_seed(master, grid..., trial, group)."""
 
-    def test_calibration_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("ASSAYQC_THREADS", "1")
-        serial = calibrate_null([50], 200, NORMAL, 37)
-        monkeypatch.setenv("ASSAYQC_THREADS", "4")
-        threaded = calibrate_null([50], 200, NORMAL, 37)
-        assert serial.rows == threaded.rows
+    def test_mean_difference_sweep_matches_per_trial_recomputation(self):
+        cfg = ScenarioConfig(neg=NORMAL, mu_diffs=(0.0, 2.0), n=500, seed=31, trials=8)
+        assert run_mean_difference_sweep(cfg).points == recomputed_sweep_points(cfg)
+
+    def test_calibration_matches_per_trial_recomputation(self):
+        table = calibrate_null([3, 50], 200, NORMAL, 37)
+        assert table.rows == recomputed_null_rows([3, 50], 200, NORMAL, 37)
