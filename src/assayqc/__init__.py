@@ -16,9 +16,11 @@ from .errors import (
     DuplicateWell,
     EmptySampleSet,
     InsufficientControls,
+    InvalidRuleParameter,
     InvalidSubsampleSize,
     MalformedRow,
     NonFiniteValue,
+    NonPositiveValue,
     NumericError,
     SingleClassInput,
     UnknownRole,

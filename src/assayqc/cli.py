@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataValidationError, MalformedRow, NumericError
+from .errors import DataValidationError, MalformedRow, NonPositiveValue, NumericError
 from .hits import (
     Direction,
     HitReport,
@@ -209,6 +209,17 @@ def _select_plate(path: Path, plate_id: str | None) -> Plate:
     raise DataValidationError(f"{path}: no plate with id {plate_id!r}")
 
 
+def _log_plate(plate: Plate) -> Plate:
+    """``--log-transform``: the natural log of every well value, all of which must be > 0."""
+    for w in plate.wells:
+        if w.value is not None and not w.value > 0:
+            raise NonPositiveValue(
+                f"plate {plate.plate_id}: well {w.address} has value {w.value:g}; "
+                "--log-transform needs every well value to be positive"
+            )
+    return plate.transformed(np.log)
+
+
 def _cmd_hits(args) -> int:
     rule_kind = RuleKind(args.rule)
     parameter = {
@@ -221,7 +232,7 @@ def _cmd_hits(args) -> int:
 
     plate = _select_plate(args.train, args.plate_id)
     if args.log_transform:
-        plate = plate.transformed(np.log)
+        plate = _log_plate(plate)
     forced = None if args.direction == "auto" else Direction(args.direction)
     report: HitReport = select_hits(plate, rule, bins=args.bins, direction=forced)
     if forced is not None and report.direction is not forced:
@@ -236,7 +247,7 @@ def _cmd_hits(args) -> int:
     if args.test is not None:
         test_plate = _select_plate(args.test, args.plate_id)
         if args.log_transform:
-            test_plate = test_plate.transformed(np.log)
+            test_plate = _log_plate(test_plate)
         test_neg, test_pos = test_plate.control_sets()
         evaluation = evaluate_threshold(
             test_neg, test_pos, report.threshold, report.direction

@@ -64,6 +64,10 @@ class NonFiniteValue(DataValidationError):
     """A well value parsed to NaN or infinity."""
 
 
+class NonPositiveValue(DataValidationError):
+    """A well value is zero or negative where its logarithm is needed."""
+
+
 # --- hit-selection errors ---------------------------------------------------
 
 class InsufficientControls(DataValidationError):
@@ -82,6 +86,10 @@ class SingleClassInput(NumericError):
 
 class ConfigError(DataValidationError):
     """A scenario/config file failed validation."""
+
+
+class InvalidRuleParameter(ConfigError, ValueError):
+    """A threshold rule's parameter lies outside its valid range."""
 
 
 class UnknownScenario(DataValidationError):

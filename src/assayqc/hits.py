@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DegenerateVariance,
     InsufficientControls,
+    InvalidRuleParameter,
     SingleClassInput,
     ZeroSign,
 )
@@ -63,9 +64,11 @@ class ThresholdRule:
 
     def __post_init__(self):
         if not self.parameter > 0:
-            raise ValueError("rule parameter must be positive")
+            raise InvalidRuleParameter(
+                f"{self.kind.value} rule parameter must be positive, got {self.parameter}"
+            )
         if self.kind is RuleKind.GSSMD_OVERLAP and not self.parameter < 1:
-            raise ValueError("overlap alpha must be < 1")
+            raise InvalidRuleParameter(f"overlap alpha must be < 1, got {self.parameter}")
 
     @classmethod
     def gssmd(cls, alpha: float = 0.05) -> "ThresholdRule":

@@ -123,17 +123,19 @@ def build_histogram_pair(
     )
 
 
-def _ovl_from_counts(c_neg: np.ndarray, c_pos: np.ndarray, n_neg: int, n_pos: int) -> float:
+def _ovl_from_counts(c_neg: np.ndarray, c_pos: np.ndarray, n_neg: int, n_pos: int):
+    """OVL over the last axis of the count arrays (one value per histogram pair)."""
     # Cross-multiplied integer minimum: exact 0.0 / 1.0 at the extremes
     # (identical multisets sum to exactly n_neg * n_pos) and a single
     # rounding at the final division.
-    num = np.minimum(c_neg.astype(np.int64) * n_pos, c_pos.astype(np.int64) * n_neg).sum()
-    return float(num / (np.int64(n_neg) * np.int64(n_pos)))
+    num = np.minimum(c_neg.astype(np.int64) * n_pos,
+                     c_pos.astype(np.int64) * n_neg).sum(axis=-1)
+    return num / (np.int64(n_neg) * np.int64(n_pos))
 
 
 def ovl(pair: HistogramPair) -> float:
     """Overlap coefficient: sum over bins of min(mass_neg, mass_pos), in [0, 1]."""
-    return _ovl_from_counts(pair.counts_neg, pair.counts_pos, pair.n_neg, pair.n_pos)
+    return float(_ovl_from_counts(pair.counts_neg, pair.counts_pos, pair.n_neg, pair.n_pos))
 
 
 def _gssmd_from_arrays(
@@ -141,7 +143,7 @@ def _gssmd_from_arrays(
 ) -> OverlapResult:
     """Array-level core shared with the simulation runners."""
     edges, c_neg, c_pos = _histogram_counts(neg, pos, bins)
-    overlap = _ovl_from_counts(c_neg, c_pos, neg.size, pos.size)
+    overlap = float(_ovl_from_counts(c_neg, c_pos, neg.size, pos.size))
     sign = int(np.sign(pos.mean() - neg.mean()))
     gcnr = 1.0 - overlap
     return OverlapResult(
@@ -161,3 +163,60 @@ def gssmd(neg: SampleSet, pos: SampleSet, bins: int | None = None) -> OverlapRes
     overlap; callers can inspect ``sign`` to detect that case.
     """
     return _gssmd_from_arrays(neg.values, pos.values, bins)
+
+
+def _gssmd_rows(neg: np.ndarray, pos: np.ndarray, bins: int | None = None) -> np.ndarray:
+    """Signed GSSMD of every row pair of a (T, m) and a (T, n) matrix.
+
+    Row ``t`` equals ``_gssmd_from_arrays(neg[t], pos[t], bins).gssmd`` bit
+    for bit. Each row pair is binned onto ``linspace`` edges over its pooled
+    range with ``numpy.histogram``'s rule for equal-width bins: a first-guess
+    index from the scaled offset, then one step down where the value lies
+    below its bin's left edge and one step up where it reaches the next edge
+    (except in the last, right-closed bin). One ``bincount`` counts every
+    row. That single correction step is exact while the edges' rounding
+    error stays below a bin width; rows whose range is too narrow for that
+    (a few ulps per bin), or not finite, go through the per-pair kernel.
+    """
+    rows, m = neg.shape
+    n = pos.shape[1]
+    k = bin_count(m + n) if bins is None else bins
+    if k < 1:
+        raise ValueError("bins must be >= 1")
+    pooled = np.concatenate((neg, pos), axis=1)
+    lo, hi = pooled.min(axis=1), pooled.max(axis=1)
+    span = hi - lo
+    magnitude = np.maximum(np.abs(lo), np.abs(hi))
+    binnable = (np.isfinite(span) & (span >= 4 * k * np.spacing(magnitude))
+                & (span >= k * np.finfo(np.float64).tiny))
+    per_pair = np.flatnonzero(~binnable & (span != 0))
+    ovl_rows = np.ones(rows)  # all pooled values equal: complete overlap
+    if binnable.any():
+        x, lo, hi, span = (a if binnable.all() else a[binnable]
+                           for a in (pooled, lo, hi, span))
+        t = x.shape[0]
+        # Indices run over the raveled (t, k+1) edges; the edge after each
+        # row's last bin reads +inf so that the right-closed bin never steps up.
+        edges = np.linspace(lo, hi, k + 1, axis=1).ravel()
+        upper = edges[1:].copy()
+        upper[k - 1::k + 1] = np.inf
+        guess = x - lo[:, None]
+        guess *= (k / span)[:, None]
+        np.minimum(guess, k - 1, out=guess)
+        idx = guess.astype(np.intp)
+        idx += np.arange(0, t * (k + 1), k + 1)[:, None]
+        # The gathered edges reuse the guess's buffer.
+        idx -= x < edges.take(idx, out=guess)
+        idx += x >= upper.take(idx, out=guess)
+        # Positive-group values count in a second (t, k+1) block.
+        idx[:, m:] += t * (k + 1)
+        counts = np.bincount(idx.ravel(), minlength=2 * t * (k + 1))
+        counts = counts.reshape(2, t, k + 1)[:, :, :k]
+        ovl_rows[binnable] = _ovl_from_counts(counts[0], counts[1], m, n)
+    # Row means of C-ordered rows sum like the 1-D means of the per-pair path;
+    # +0.0 turns a sign of -0.0 into +0.0, as int(np.sign(...)) does.
+    sign = np.sign(pooled[:, m:].mean(axis=1) - pooled[:, :m].mean(axis=1)) + 0.0
+    signed = sign * (1.0 - ovl_rows)
+    for r in per_pair:
+        signed[r] = _gssmd_from_arrays(neg[r], pos[r], bins).gssmd
+    return signed

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,23 @@ class TestHitsCommand:
         # boundary in log units: between 0 and 3
         assert 0.5 < payload["threshold"] < 2.5
         assert payload["n_hits"] == 10
+
+    def test_log_transform_rejects_non_positive_well(self, tmp_path, capsys):
+        path = tmp_path / "neg_well.csv"
+        write_plate_csv(path, {"p": ([1.0, 2.0, 3.0], [7.0, 8.0, 9.0], [0.5, -1.0])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.log must never see the value
+            assert main(["hits", str(path), "--log-transform"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "plate p" in err and "R2C3" in err and "--log-transform" in err
+
+    @pytest.mark.parametrize("flags", [["--alpha", "1.5"], ["--rule", "sigma", "--k", "-1"]])
+    def test_out_of_range_rule_parameter_exits_2(self, tmp_path, capsys, flags):
+        train, _, _ = self.make_two_plates(tmp_path)
+        assert main(["hits", str(train), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCalibrateCommand:

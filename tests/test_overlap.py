@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from assayqc import (
     DistributionSpec,
@@ -11,6 +14,7 @@ from assayqc import (
     gssmd,
     ovl,
 )
+from assayqc.overlap import _gssmd_from_arrays, _gssmd_rows
 
 # Overlap of two unit-variance normals d apart is 2*Phi(-d/2); at d=1 that
 # is 0.6170750774519738 (frozen from numerical integration of the pointwise
@@ -216,3 +220,100 @@ class TestMonotoneTrend:
                 vals.append(gssmd(neg, pos).gssmd)
             medians.append(float(np.median(vals)))
         assert all(a < b for a, b in zip(medians, medians[1:]))
+
+
+def per_pair_rows(neg, pos, bins=None):
+    """Oracle for the row kernel: the per-pair kernel applied row by row."""
+    return np.array([_gssmd_from_arrays(a, b, bins).gssmd for a, b in zip(neg, pos)])
+
+
+def assert_same_bits(actual, expected):
+    # Compared as integers, so that -0.0 and +0.0 differ.
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestGssmdRows:
+    """Row kernel vs the per-pair kernel: equal bit for bit, row by row."""
+
+    @pytest.mark.parametrize("bins", [None, 1, 2, 5])
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
+    def test_normal_draws(self, n, rows, bins):
+        rng = np.random.default_rng(n * 10 + rows)
+        neg = rng.normal(0, 1, (rows, n))
+        pos = rng.normal(0.3, 1, (rows, n))
+        assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
+
+    @pytest.mark.parametrize("bins", [None, 1, 2, 5])
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_integer_data_with_ties_on_edges(self, rows, bins):
+        # Every row spans 0..5, so at bins=5 each integer sits on an edge.
+        rng = np.random.default_rng(rows)
+        neg = rng.integers(0, 6, (rows, 12)).astype(float)
+        pos = rng.integers(0, 6, (rows, 15)).astype(float)
+        neg[:, 0], pos[:, 0] = 0.0, 5.0
+        assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
+
+    @pytest.mark.parametrize("bins", [None, 1, 3, 7])
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_values_on_and_next_to_the_computed_edges(self, rows, bins):
+        # Values equal to the linspace edges (and one ulp either side) are
+        # where a first-guess index from the scaled offset can miss by one.
+        rng = np.random.default_rng(rows + (bins or 0))
+        m = n = 16
+        k = bin_count(m + n) if bins is None else bins
+        pooled = np.empty((rows, m + n))
+        for r in range(rows):
+            lo = rng.uniform(-10, 10)
+            edges = np.linspace(lo, lo + rng.uniform(0.1, 100), k + 1)
+            near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                   np.nextafter(edges, np.inf)])
+            near = near[(near >= edges[0]) & (near <= edges[-1])]
+            values = rng.choice(near, m + n)
+            values[:2] = edges[0], edges[-1]
+            pooled[r] = rng.permutation(values)
+        neg, pos = pooled[:, :m], pooled[:, m:]
+        assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
+
+    @pytest.mark.parametrize("bins", [None, 1, 2, 5])
+    def test_all_equal_rows_alone_and_mixed_with_normal_rows(self, bins):
+        rng = np.random.default_rng(5)
+        neg, pos = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+        for r, c in zip((0, 3, 4, 7), (2.0, -1.5, 0.0, 1e-300)):
+            neg[r], pos[r] = c, c
+        # Groups of +0.0 and -0.0: were a mean -0.0, the difference would be
+        # -0.0, which the per-pair kernel signs as 0.
+        neg[5], pos[5] = 0.0, -0.0
+        neg[8], pos[8] = [-1.0, 1.0, -2.0, 2.0], -0.0
+        got = _gssmd_rows(neg, pos, bins)
+        assert_same_bits(got, per_pair_rows(neg, pos, bins))
+        assert_same_bits(_gssmd_rows(neg[[0]], pos[[0]], bins), got[[0]])
+        assert np.all(got[[0, 3, 4, 5, 7]] == 0.0)
+
+    @pytest.mark.parametrize("bins", [None, 5, 20, 50])
+    def test_rows_a_few_ulps_wide_use_the_per_pair_kernel(self, bins):
+        # Edges a fraction of an ulp apart round onto each other, so one
+        # correction step may not find the bin; such rows take the per-pair
+        # path, next to an ordinary row.
+        rng = np.random.default_rng(11)
+        ulp = np.spacing(1.0)
+        narrow = 1.0 + ulp * rng.integers(0, 4, (2, 16))
+        narrow[:, 0], narrow[:, -1] = 1.0, 1.0 + 3 * ulp
+        neg = np.vstack([narrow[:, :8], rng.normal(size=8)])
+        pos = np.vstack([narrow[:, 8:], rng.normal(size=8)])
+        assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
+
+    def test_rejects_zero_bins(self):
+        with pytest.raises(ValueError):
+            _gssmd_rows(np.zeros((2, 3)), np.ones((2, 3)), bins=0)
+
+    # Bounded so that a row's range (hi - lo) stays finite.
+    @given(st.data())
+    def test_matches_per_pair_kernel_on_arbitrary_finite_floats(self, data):
+        rows = data.draw(st.integers(1, 4))
+        m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        values = st.floats(-1e300, 1e300, allow_nan=False)
+        neg = data.draw(hnp.arrays(np.float64, (rows, m), elements=values))
+        pos = data.draw(hnp.arrays(np.float64, (rows, n), elements=values))
+        bins = data.draw(st.none() | st.integers(1, 8))
+        assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))

@@ -25,6 +25,7 @@ from assayqc import (
     summarize,
     z_factor,
 )
+from assayqc import simulation
 
 NORMAL = DistributionSpec.normal(0, 1)
 
@@ -314,6 +315,28 @@ class TestCalibrateNull:
             calibrate_null([], 200, NORMAL, 1)
         with pytest.raises(ConfigError):
             calibrate_null([10], 50, NORMAL, 1)
+
+
+class TestCalibrateNullChunks:
+    """calibrate_null scores trials in chunks of rows; chunk edges must not show."""
+
+    @pytest.mark.parametrize("bins", [None, 3])
+    def test_sizes_on_both_sides_of_the_kernel_selection(self, bins):
+        sizes, trials = [7, 1000, 5000], 101
+        per_chunk = [simulation._CALIBRATION_CHUNK_VALUES // (2 * n) for n in sizes]
+        # One partial chunk, several chunks with a partial last one, and a
+        # size scored pair by pair.
+        assert per_chunk[0] > trials and trials % per_chunk[1] and per_chunk[2] < 2
+        table = calibrate_null(sizes, trials, NORMAL, 43, bins=bins)
+        assert table.rows == recomputed_null_rows(sizes, trials, NORMAL, 43, bins=bins)
+
+    @pytest.mark.parametrize("bins", [None, 2])
+    def test_many_chunks_with_a_partial_last_one(self, monkeypatch, bins):
+        # 10, 3 and 2 rows a chunk at n = 3, 10 and 16; n = 20 pair by pair.
+        monkeypatch.setattr(simulation, "_CALIBRATION_CHUNK_VALUES", 64)
+        sizes, dist = [3, 10, 16, 20], DistributionSpec.lognormal(0, 1)
+        table = calibrate_null(sizes, 103, dist, 47, bins=bins)
+        assert table.rows == recomputed_null_rows(sizes, 103, dist, 47, bins=bins)
 
 
 class TestSeedLayout:
