@@ -3,8 +3,10 @@
 Subcommands: ``metrics``, ``simulate <fig1..fig6>``, ``hits``,
 ``calibrate``. Machine output (JSON/CSV) goes to stdout or files; human
 diagnostics go to stderr. Exit codes: 0 success, 2 input/config validation
-error, 3 numeric error. ``simulate`` and ``calibrate`` write their CSVs
-and a manifest through ``scenarios.emit_run``.
+error, 3 numeric error: a metric's precondition failed, or a floating-point
+overflow, invalid operation or division by zero occurred anywhere in the
+command. ``simulate`` and ``calibrate`` write their CSVs and a manifest
+through ``scenarios.emit_run``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .hits import (
     evaluate_threshold,
     select_hits,
 )
-from .plates import EXPECTED_HEADER, Plate, load_plate_csv
+from .plates import EXPECTED_HEADER, Plate, load_plate_csv, plates_from_rows, read_csv_rows
 from .report import __version__, compute_metric_report, json_dumps
 from .samples import SampleSet
 from .scenarios import SCENARIO_NAMES, emit_run, load_config_file, run_scenario
@@ -104,38 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sniff_header(path: Path) -> list[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _load_group_csv(rows) -> tuple[SampleSet, SampleSet]:
+    """``group,value`` rows as (neg, pos); ``SampleSet`` rejects an empty or non-finite group."""
+    groups: dict[str, list[float]] = {"neg": [], "pos": []}
+    for line_no, (group, value_s) in rows:
+        values = groups.get(group.lower())
+        if values is None:
+            raise MalformedRow(f"line {line_no}: group must be pos or neg")
         try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise MalformedRow(f"{path}: empty file") from None
-    return [h.strip().lower() for h in header]
-
-
-def _load_group_csv(path: Path) -> tuple[SampleSet, SampleSet]:
-    neg, pos = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header already validated
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields or (len(fields) == 1 and not fields[0].strip()):
-                continue
-            if len(fields) != 2:
-                raise MalformedRow(f"line {line_no}: expected group,value")
-            group = fields[0].strip().lower()
-            if group not in ("pos", "neg"):
-                raise MalformedRow(f"line {line_no}: group must be pos or neg")
-            try:
-                value = float(fields[1])
-            except ValueError:
-                raise MalformedRow(f"line {line_no}: bad value {fields[1]!r}") from None
-            if not np.isfinite(value):
-                raise MalformedRow(f"line {line_no}: non-finite value")
-            (pos if group == "pos" else neg).append(value)
-    if not neg or not pos:
-        raise MalformedRow(f"{path}: need at least one pos and one neg row")
-    return SampleSet(neg, label="neg"), SampleSet(pos, label="pos")
+            values.append(float(value_s))
+        except ValueError:
+            raise MalformedRow(f"line {line_no}: bad value {value_s!r}") from None
+    return SampleSet(groups["neg"], label="neg"), SampleSet(groups["pos"], label="pos")
 
 
 def _report_csv(reports: list[dict]) -> str:
@@ -171,22 +153,13 @@ def _emit(payload: dict | list, fmt: str, out: Path | None) -> None:
 
 
 def _cmd_metrics(args) -> int:
-    header = _sniff_header(args.input)
-    if header == EXPECTED_HEADER:
-        plates = load_plate_csv(args.input)
-        reports = []
-        for plate in plates:
-            report = assay_quality(plate, bins=args.bins)
-            reports.append({"plate_id": plate.plate_id, **report.to_dict()})
-        payload = reports if len(reports) > 1 else reports[0]
-    elif header == GROUP_HEADER:
-        neg, pos = _load_group_csv(args.input)
-        payload = compute_metric_report(neg, pos, bins=args.bins).to_dict()
-    else:
-        raise MalformedRow(
-            f"{args.input}: unrecognized header {','.join(header)}; expected "
-            f"{','.join(EXPECTED_HEADER)} or {','.join(GROUP_HEADER)}"
-        )
+    with read_csv_rows(args.input, [EXPECTED_HEADER, GROUP_HEADER]) as (header, rows):
+        if header == GROUP_HEADER:
+            payload = compute_metric_report(*_load_group_csv(rows), bins=args.bins).to_dict()
+        else:
+            reports = [{"plate_id": p.plate_id, **assay_quality(p, bins=args.bins).to_dict()}
+                       for p in plates_from_rows(rows)]
+            payload = reports if len(reports) > 1 else reports[0]
     _emit(payload, args.format, args.out)
     return 0
 
@@ -289,11 +262,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.subcommand](args)
     except (DataValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

@@ -60,8 +60,8 @@ class DuplicateWell(DataValidationError):
     """Two rows addressed the same (plate, row, col)."""
 
 
-class NonFiniteValue(DataValidationError):
-    """A well value parsed to NaN or infinity."""
+class NonFiniteValue(DataValidationError, ValueError):
+    """A well or sample value is NaN or infinite."""
 
 
 class NonPositiveValue(DataValidationError):

@@ -1,6 +1,6 @@
 """Plate-format data model and CSV ingestion.
 
-CSV schema (header required, comma-separated, UTF-8):
+CSV schema (header required, comma-separated, UTF-8 with or without a BOM):
 
     plate_id,row,col,role,value
 
@@ -14,13 +14,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DuplicateWell, MalformedRow, NonFiniteValue, UnknownRole
+from .errors import DataValidationError, DuplicateWell, MalformedRow, NonFiniteValue, UnknownRole
 from .samples import SampleSet
 
 EXPECTED_HEADER = ["plate_id", "row", "col", "role", "value"]
@@ -65,12 +67,17 @@ class Plate:
     wells: list[Well] = field(default_factory=list)
 
     def __post_init__(self):
-        seen = set()
-        for w in self.wells:
-            key = (w.row, w.col)
-            if key in seen:
-                raise DuplicateWell(f"plate {self.plate_id}: duplicate well {w.address}")
-            seen.add(key)
+        wells, self.wells, self._addresses = self.wells, [], set()
+        for w in wells:
+            self.add(w)
+
+    def add(self, well: Well) -> None:
+        """Append ``well``; its address must be new on this plate."""
+        key = (well.row, well.col)
+        if key in self._addresses:
+            raise DuplicateWell(f"plate {self.plate_id}: duplicate well {well.address}")
+        self._addresses.add(key)
+        self.wells.append(well)
 
     def _values(self, role: WellRole) -> np.ndarray:
         return np.array([w.value for w in self.wells if w.role is role], dtype=np.float64)
@@ -100,80 +107,96 @@ class Plate:
 _ROLES = {r.value: r for r in WellRole}
 
 
-def _parse_row(fields: list[str], line_no: int) -> tuple[str, Well]:
-    if len(fields) != len(EXPECTED_HEADER):
-        raise MalformedRow(
-            f"line {line_no}: expected {len(EXPECTED_HEADER)} fields, got {len(fields)}"
-        )
-    plate_id, row_s, col_s, role_s, value_s = (f.strip() for f in fields)
+@contextmanager
+def read_csv_rows(source, headers: Sequence[list[str]]) -> Iterator[tuple[list[str], Iterator]]:
+    """Open ``source`` once; yield ``(header, rows)``.
+
+    ``source`` is a path, bytes or a readable text stream; paths and bytes
+    are decoded as UTF-8 with an optional byte-order mark. The header,
+    stripped and lower-cased, must equal one of ``headers``. ``rows``
+    streams ``(line_no, stripped fields)``, skipping blank lines and
+    rejecting rows whose field count differs from the header's. Bytes that
+    are not UTF-8, and text the ``csv`` module cannot split, raise
+    ``MalformedRow`` too.
+    """
+    expected = " or ".join(",".join(h) for h in headers)
+    with ExitStack() as stack:
+        try:
+            if isinstance(source, (str, Path)):
+                source = stack.enter_context(open(source, encoding="utf-8-sig", newline=""))
+            elif isinstance(source, (bytes, bytearray)):
+                source = io.StringIO(source.decode("utf-8-sig"))
+            reader = csv.reader(source)
+            first = next(reader, None)
+            if first is None:
+                raise MalformedRow(f"empty input: expected header {expected}")
+            header = [h.strip().lower() for h in first]
+            if header not in headers:
+                raise MalformedRow(f"line 1: expected header {expected}, got {','.join(header)}")
+            yield header, _rows(reader, header)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise MalformedRow(f"unreadable CSV: {exc}") from None
+
+
+def _rows(reader, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    for fields in reader:
+        fields = [f.strip() for f in fields]
+        if fields in ([], [""]):
+            continue
+        if len(fields) != len(header):
+            raise MalformedRow(
+                f"line {reader.line_num}: expected {len(header)} fields "
+                f"({','.join(header)}), got {len(fields)}"
+            )
+        yield reader.line_num, fields
+
+
+def _parse_well(fields: list[str]) -> tuple[str, Well]:
+    plate_id, row_s, col_s, role_s, value_s = fields
     if not plate_id:
-        raise MalformedRow(f"line {line_no}: empty plate_id")
+        raise MalformedRow("empty plate_id")
     try:
         row, col = int(row_s), int(col_s)
     except ValueError:
-        raise MalformedRow(f"line {line_no}: row/col must be integers") from None
+        raise MalformedRow("row/col must be integers") from None
     role = _ROLES.get(role_s.lower())
     if role is None:
-        raise UnknownRole(
-            f"line {line_no}: role {role_s!r} not in {sorted(_ROLES)}"
-        )
-    if role is WellRole.EMPTY:
-        if value_s:
-            raise MalformedRow(f"line {line_no}: empty wells must not carry a value")
-        value = None
-    else:
-        if not value_s:
-            raise MalformedRow(f"line {line_no}: role {role.value!r} needs a value")
-        try:
-            value = float(value_s)
-        except ValueError:
-            raise MalformedRow(f"line {line_no}: value {value_s!r} is not a number") from None
-        if not math.isfinite(value):
-            raise NonFiniteValue(f"line {line_no}: value {value_s!r} is not finite")
+        raise UnknownRole(f"role {role_s!r} not in {sorted(_ROLES)}")
+    if not value_s and role is not WellRole.EMPTY:
+        raise MalformedRow(f"role {role.value!r} needs a value")
     try:
-        return plate_id, Well(row, col, role, value)
-    except (MalformedRow, NonFiniteValue) as exc:
-        raise type(exc)(f"line {line_no}: {exc}") from None
+        value = float(value_s) if value_s else None
+    except ValueError:
+        raise MalformedRow(f"value {value_s!r} is not a number") from None
+    return plate_id, Well(row, col, role, value)
+
+
+def plates_from_rows(rows: Iterable[tuple[int, list[str]]]) -> list[Plate]:
+    """Group ``(line_no, fields)`` plate-CSV rows into plates.
+
+    Errors from ``Well`` and ``Plate`` checks carry the row's line number.
+    A file without data rows is rejected.
+    """
+    plates: dict[str, Plate] = {}
+    for line_no, fields in rows:
+        try:
+            plate_id, well = _parse_well(fields)
+            plate = plates.get(plate_id)
+            if plate is None:
+                plate = plates[plate_id] = Plate(plate_id)
+            plate.add(well)
+        except DataValidationError as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
+    if not plates:
+        raise MalformedRow("no data rows after the header")
+    return list(plates.values())
 
 
 def load_plate_csv(source) -> list[Plate]:
-    """Parse a plate CSV from a path or readable text stream.
+    """Parse a plate CSV from a path, bytes or readable text stream.
 
     Errors carry the 1-based line number of the offending row. Duplicate
     (plate, row, col) addresses are rejected.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_plate_csv(fh)
-    if isinstance(source, (bytes, bytearray)):
-        return load_plate_csv(io.StringIO(source.decode("utf-8")))
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow("empty input: expected header " + ",".join(EXPECTED_HEADER)) from None
-    if [h.strip().lower() for h in header] != EXPECTED_HEADER:
-        raise MalformedRow(
-            "line 1: expected header " + ",".join(EXPECTED_HEADER)
-            + ", got " + ",".join(h.strip() for h in header)
-        )
-
-    order: list[str] = []
-    wells: dict[str, list[Well]] = {}
-    seen: set[tuple[str, int, int]] = set()
-    for line_no, fields in enumerate(reader, start=2):
-        if not fields or (len(fields) == 1 and not fields[0].strip()):
-            continue
-        plate_id, well = _parse_row(fields, line_no)
-        key = (plate_id, well.row, well.col)
-        if key in seen:
-            raise DuplicateWell(
-                f"line {line_no}: duplicate well {well.address} on plate {plate_id}"
-            )
-        seen.add(key)
-        if plate_id not in wells:
-            order.append(plate_id)
-            wells[plate_id] = []
-        wells[plate_id].append(well)
-    return [Plate(pid, wells[pid]) for pid in order]
+    with read_csv_rows(source, [EXPECTED_HEADER]) as (_, rows):
+        return plates_from_rows(rows)

@@ -11,15 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySampleSet
+from .errors import EmptySampleSet, NonFiniteValue
 
 
 @dataclass(frozen=True)
 class SampleSet:
     """An immutable, validated vector of finite measurements.
 
-    Raises ``EmptySampleSet`` for zero-length input and ``ValueError`` if any
-    value is NaN or infinite.
+    Raises ``EmptySampleSet`` for zero-length input and ``NonFiniteValue``
+    (also a ``ValueError``) if any value is NaN or infinite.
     """
 
     values: np.ndarray
@@ -32,7 +32,7 @@ class SampleSet:
         if arr.size == 0:
             raise EmptySampleSet(f"sample set {self.label!r} is empty")
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"sample set {self.label!r} contains non-finite values")
+            raise NonFiniteValue(f"sample set {self.label!r} contains non-finite values")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

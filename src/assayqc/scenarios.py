@@ -88,8 +88,34 @@ def default_config(name: str) -> dict:
     return json.loads(json.dumps(_DEFAULTS[name]))
 
 
+# JSON types a scalar default admits for an override, never counting a bool.
+_ADMITS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _expected_type(default, value) -> str | None:
+    """None if ``value`` has the JSON type of ``default``, else the name of that type.
+
+    A list default takes a list of numbers, or of strings where its own are.
+    """
+    if isinstance(default, list):
+        item = default[0] if isinstance(default[0], str) else 0.0
+        if isinstance(value, list) and not any(_expected_type(item, v) for v in value):
+            return None
+        return "a list of strings" if isinstance(item, str) else "a list of numbers"
+    types, name = _ADMITS[type(default)]
+    return None if isinstance(value, types) and not isinstance(value, bool) else name
+
+
 def resolve_config(name: str, overrides: dict | None = None) -> dict:
-    """Merge a user config over the scenario defaults, rejecting unknown keys."""
+    """Merge a user config over the scenario defaults.
+
+    Unknown keys, and values without the JSON type of their default, raise
+    ``ConfigError``.
+    """
     cfg = default_config(name)
     for key, value in (overrides or {}).items():
         if key == "scenario":
@@ -98,6 +124,10 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
             continue
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r} for scenario {name}")
+        expected = _expected_type(cfg[key], value)
+        if expected is not None:
+            raise ConfigError(f"config key {key!r} for scenario {name} must be {expected}, "
+                              f"got {value!r}")
         cfg[key] = value
     return cfg
 
@@ -379,6 +409,9 @@ def run_scenario(
     overrides = dict(overrides or {})
     # A replayed manifest carries its bins override; an explicit flag wins.
     replayed_bins = overrides.pop("bins", None)
+    if replayed_bins is not None and (_expected_type(1, replayed_bins) or replayed_bins < 1):
+        raise ConfigError("config key 'bins' must be null or an integer >= 1, "
+                          f"got {replayed_bins!r}")
     if bins is None:
         bins = replayed_bins
     cfg = resolve_config(name, overrides)

@@ -100,6 +100,37 @@ class TestMetricsCommand:
         assert main(["metrics", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["metrics", "hits"])
+    def test_header_only_plate_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "plate.csv"
+        path.write_text(PLATE_HEADER)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_group_csv(plain, [1.0, 2.0, 3.0], [7.0, 8.0, 9.5])
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["metrics", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["metrics", str(bom)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("group,value\nneg,1\nneg,2\npos,5\npos,é\n".encode("latin-1"))
+        assert main(["metrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable CSV") and err.count("\n") == 1
+
+    def test_overflowing_control_values_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        write_plate_csv(path, {"p": ([1e308, -1e308, 0.0], [1.0, 2.0, 3.0], [])})
+        assert main(["metrics", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_seed_is_required(self, tmp_path):
@@ -196,6 +227,41 @@ class TestSimulateCommand:
         assert main(["simulate", "fig1", "--seed", "1", "--out-dir", str(tmp_path),
                      "--config", str(cfg)]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, config", [
+        ("fig1", {"n": "abc"}),
+        ("fig1", {"mu_diffs": 5}),
+        ("fig1", {"trials": 2.5}),
+        ("fig1", {"mu_diffs": ["a"]}),
+        ("fig1", {"bins": "x"}),
+        ("fig6", {"trials": 100, "location": "x"}),
+    ])
+    def test_wrong_config_type_exits_2(self, tmp_path, capsys, scenario, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", scenario, "--seed", "1", "--out-dir", str(out),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_fig4_overflowing_snr_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr_db": [4000]}))
+        assert main(["simulate", "fig4", "--seed", "1", "--out-dir", str(tmp_path),
+                     "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+
+    def test_fig3_non_finite_outliers_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"outlier_means": [1e308], "outlier_scale": 1e308,
+                                   "fractions": [0.5]}))
+        assert main(["simulate", "fig3", "--seed", "1", "--out-dir", str(tmp_path),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and err.count("\n") == 1
 
     def test_manifest_hashes_match_outputs(self, tmp_path):
         import hashlib
@@ -324,6 +390,12 @@ class TestCalibrateCommand:
         assert bins2 != default
         manifest = json.loads((tmp_path / "bins2" / "manifest.json").read_text())
         assert manifest["config"]["bins"] == 2
+
+    def test_infinite_location_exits_3(self, tmp_path, capsys):
+        assert main(["calibrate", "--seed", "4", "--sizes", "10", "--trials", "100",
+                     "--location", "inf", "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
 
     def test_too_few_trials_exits_2(self, tmp_path):
         assert main(["calibrate", "--seed", "4", "--sizes", "10",

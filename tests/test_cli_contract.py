@@ -1,0 +1,117 @@
+"""The CLI's exit-code contract under arbitrary input.
+
+For any small plate or group CSV file, and for any scenario config value
+whose JSON type differs from its default's, ``main`` returns 0, 2 or 3,
+writes one stderr line on failure and none on success, emits no warning
+and never raises.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from assayqc.cli import main
+from assayqc.scenarios import SCENARIO_NAMES, default_config
+
+PLATE_HEADER = "plate_id,row,col,role,value"
+GROUP_HEADER = "group,value"
+SPECIAL = ["", "nan", "inf", "-inf", "1e308", "-1e308", "x", "é"]
+# Mostly finite readouts, so that some bodies are valid and reach a metric.
+_values = st.sampled_from(["0", "1", "2", "-2.5", "3e2", "7", "10.5", "-4", "5", "6"] * 6
+                          + SPECIAL)
+
+
+def _row(*fields):
+    return st.tuples(*fields).map(lambda f: ",".join(map(str, f)))
+
+
+def _body(header, rows, bad_rows):
+    """An encoding, the header, then the rows with the bad rows mixed in at random places.
+
+    "utf-8-sig" writes a byte-order mark; "latin-1" makes "é" undecodable.
+    """
+    rows = st.just([]) | rows  # header-only bodies too
+    lines = st.tuples(rows, st.lists(bad_rows, max_size=1)).flatmap(
+        lambda t: st.permutations(t[0] + t[1]))
+    return st.tuples(st.sampled_from(["utf-8", "utf-8-sig", "latin-1"]), st.just(header), lines)
+
+
+# Blank rows and rows with a wrong field count fit either format.
+_odd_rows = st.lists(st.sampled_from(SPECIAL + ["1", "pos"]), max_size=7).map(",".join)
+_plate_rows = st.lists(
+    st.tuples(st.sampled_from(["p1", "p1", "p1", "p2"]), st.integers(1, 4), st.integers(1, 4),
+              st.sampled_from(["pos", "neg", "pos", "NEG", "sample", "empty"]), _values),
+    min_size=6, max_size=16, unique_by=lambda w: w[:3],
+).map(lambda wells: [f"{p},{r},{c},{role},{'' if role == 'empty' else v}"
+                     for p, r, c, role, v in wells])
+_bad_plate_rows = _odd_rows | _row(
+    st.sampled_from(["p1", ""]), st.sampled_from(["1", "0", "a"]), st.integers(1, 4),
+    st.sampled_from(["pos", "empty", "ctl"]), st.sampled_from(SPECIAL + ["3"]))
+_group_rows = st.lists(_row(st.sampled_from(["neg", "pos", "POS"]), _values),
+                       min_size=2, max_size=12)
+_bad_group_rows = _odd_rows | _row(st.sampled_from(["x", "", "neg"]), st.sampled_from(SPECIAL))
+csv_bodies = (_body(PLATE_HEADER, _plate_rows, _bad_plate_rows)
+              | _body(GROUP_HEADER, _group_rows, _bad_group_rows))
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(-1e3, 1e3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                               max_size=2),
+    max_leaves=4,
+)
+
+
+def has_default_type(default, value) -> bool:
+    """The documented config rule: a bool is never a number."""
+    def number(v):
+        return type(v) in (int, float)
+    if type(default) is list:
+        item_ok = (lambda v: type(v) is str) if type(default[0]) is str else number
+        return type(value) is list and all(item_ok(v) for v in value)
+    return type(value) is int if type(default) is int else number(value)
+
+
+def run_cli(argv) -> tuple[int, list[str]]:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=300)
+@given(csv_bodies)
+def test_any_csv_body_exits_0_2_or_3(body):
+    encoding, header, rows = body
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(("\n".join([header, *rows]) + "\n").encode(encoding))
+        for command in ("metrics", "hits"):
+            code, err = run_cli([command, str(path)])
+            assert code in (0, 2, 3), (command, code, err)
+            assert len(err) == (0 if code == 0 else 1), (command, err)
+
+
+@given(st.data())
+def test_wrong_typed_config_value_exits_2_before_any_trial(data):
+    scenario = data.draw(st.sampled_from(SCENARIO_NAMES))
+    defaults = {**default_config(scenario), "bins": 1}
+    key = data.draw(st.sampled_from(sorted(defaults)))
+    value = data.draw(_json_values.filter(
+        lambda v: not has_default_type(defaults[key], v) and not (key == "bins" and v is None)
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, err = run_cli(["simulate", scenario, "--seed", "1", "--out-dir", str(out),
+                             "--config", str(cfg)])
+        assert code == 2, (scenario, key, value, err)
+        assert len(err) == 1 and err[0].startswith(f"error: config key '{key}'"), err
+        assert not out.exists()

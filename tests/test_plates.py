@@ -12,6 +12,7 @@ from assayqc import (
     WellRole,
     load_plate_csv,
 )
+from assayqc.plates import read_csv_rows
 
 HEADER = "plate_id,row,col,role,value\n"
 
@@ -87,6 +88,14 @@ class TestLoadPlateCsv:
         plates = load(HEADER + "p1,1,1,pos,1\n\np1,1,2,neg,2\n")
         assert len(plates[0].wells) == 2
 
+    def test_header_only_rejected(self):
+        with pytest.raises(MalformedRow, match="no data rows"):
+            load(HEADER + "\n")
+
+    def test_bytes_with_byte_order_mark(self):
+        plates = load_plate_csv(("\ufeff" + HEADER + "p1,1,1,pos,1\n").encode("utf-8"))
+        assert plates[0].wells[0].value == 1.0
+
     def test_from_path(self, tmp_path):
         path = tmp_path / "plate.csv"
         path.write_text(HEADER + "p1,1,1,pos,1\np1,1,2,neg,2\n")
@@ -125,6 +134,13 @@ class TestPlateHelpers:
         with pytest.raises(DuplicateWell):
             Plate("p", [Well(1, 1, WellRole.SAMPLE, 1.0), Well(1, 1, WellRole.SAMPLE, 2.0)])
 
+    def test_add_rejects_a_taken_address(self):
+        plate = self.make()
+        plate.add(Well(3, 1, WellRole.SAMPLE, 1.0))
+        with pytest.raises(DuplicateWell, match="R3C1"):
+            plate.add(Well(3, 1, WellRole.NEGATIVE, 2.0))
+        assert len(plate.wells) == 7
+
     def test_well_validation(self):
         with pytest.raises(MalformedRow):
             Well(0, 1, WellRole.SAMPLE, 1.0)
@@ -132,3 +148,36 @@ class TestPlateHelpers:
             Well(1, 1, WellRole.SAMPLE, float("nan"))
         with pytest.raises(NonFiniteValue):
             Well(1, 1, WellRole.SAMPLE, None)
+
+
+class TestReadCsvRows:
+    def test_returns_the_matched_header_and_streams_rows(self):
+        text = "Group, Value\n\nneg, 1\n  \npos,2\n"
+        with read_csv_rows(io.StringIO(text), [["a"], ["group", "value"]]) as (header, rows):
+            assert header == ["group", "value"]
+            assert list(rows) == [(3, ["neg", "1"]), (5, ["pos", "2"])]
+
+    def test_field_count_checked_against_the_header(self):
+        text = io.StringIO("group,value\nneg,1,2\n")
+        with read_csv_rows(text, [["group", "value"]]) as (_, rows):
+            with pytest.raises(MalformedRow, match="line 2: expected 2 fields"):
+                list(rows)
+
+    def test_unknown_header_names_every_accepted_one(self):
+        with pytest.raises(MalformedRow, match="expected header a,b or group,value, got x"):
+            with read_csv_rows(io.StringIO("x\n"), [["a", "b"], ["group", "value"]]):
+                pass
+
+    def test_undecodable_or_unsplittable_input(self):
+        with pytest.raises(MalformedRow, match="unreadable CSV"):
+            with read_csv_rows(b"group,value\nneg,\xe9\n", [["group", "value"]]):
+                pass
+        huge_field = io.StringIO('group,value\nneg,"' + "1" * 200_000 + '"\n')
+        with pytest.raises(MalformedRow, match="unreadable CSV"):
+            with read_csv_rows(huge_field, [["group", "value"]]) as (_, rows):
+                list(rows)
+
+    def test_empty_input(self):
+        with pytest.raises(MalformedRow, match="empty input"):
+            with read_csv_rows(b"", [["group", "value"]]):
+                pass

@@ -22,6 +22,20 @@ class TestConfigResolution:
         assert cfg["n"] == 50
         assert cfg["sigmas"] == [1, 3, 5]
 
+    def test_values_of_the_default_type_accepted(self):
+        cfg = resolve_config("fig6", {"sizes": [10, 20.0], "location": 1, "scale": 2.5,
+                                      "dists": ["normal"], "trials": 100})
+        assert cfg["location"] == 1 and cfg["dists"] == ["normal"]
+        assert resolve_config("fig1", {"mu_diffs": [0.5, 2], "sigmas": []})["mu_diffs"] == [0.5, 2]
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", True), ("n", 10.0), ("shape", False), ("shape", "1"), ("shape", None),
+        ("mu_diffs", [1, None]), ("mu_diffs", [True]), ("mu_diffs", {"a": 1}),
+    ])
+    def test_values_of_another_type_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config("fig2", {key: value})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             resolve_config("fig1", {"bogus": 1})
