@@ -132,6 +132,27 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
     return cfg
 
 
+# Lists of sample sizes take integers; other lists of numbers take any number.
+_SIZE_LISTS = ("sizes", "panel_c_sizes")
+
+
+def _check_values(name: str, cfg: dict) -> None:
+    """Reject what the JSON type rule admits but no run can use.
+
+    That is an empty list, which would write empty tables, and a sample size
+    that is not an integer, which would be truncated.
+    """
+    for key, value in cfg.items():
+        if value == []:
+            expected = "a non-empty list"
+        elif key in _SIZE_LISTS and any(_expected_type(1, v) for v in value):
+            expected = "a list of integers"
+        else:
+            continue
+        raise ConfigError(f"config key {key!r} for scenario {name} must be {expected}, "
+                          f"got {value!r}")
+
+
 def load_config_file(path) -> dict:
     """Read a scenario config from JSON; accepts a run manifest as well."""
     try:
@@ -415,5 +436,6 @@ def run_scenario(
     if bins is None:
         bins = replayed_bins
     cfg = resolve_config(name, overrides)
+    _check_values(name, cfg)
     files = _RUNNERS[name](cfg, seed, bins)
     return emit_run(out_dir, files, "simulate", {"scenario": name, **cfg, "bins": bins}, seed)

@@ -9,6 +9,7 @@ its own from that key.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -339,6 +340,97 @@ class NullCalibrationTable:
     dist: DistributionSpec
 
 
+#: Trials whose generator states are computed in one batch; it bounds their memory.
+_SEED_BLOCK = 1024
+
+_M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
+
+
+def _uint32_words(x: int) -> int:
+    """Length of numpy's ``_coerce_to_uint32_array(x)`` for an int ``x >= 0``."""
+    return max(1, -(-int(x).bit_length() // 32))
+
+
+def _pcg64_states(
+    master: int, prefix: tuple[int, ...], trials: range, k: int
+) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(derive_seed(master, *prefix, t, k))`` per ``t``.
+
+    Same bits, computed for all of ``trials`` (each ``t < 2**32``) in one
+    numpy pass. Mirrors numpy's ``bit_generator.pyx``: ``SeedSequence``
+    hashes the key prefix into its pool, with the run entropy padded to the
+    4-word pool as a spawn key makes numpy do (without a spawn key the pool
+    comes out the same, but the hash count below assumes the padding); then
+    ``mix_entropy`` mixes in the words ``t`` and ``k`` with ``hashmix``/``mix``,
+    ``generate_state(4, uint64)`` gives the seed words, and ``pcg64.h``'s
+    ``pcg64_set_seed`` (``pcg_setseq_128_srandom_r``) takes two 128-bit LCG
+    steps. uint32 arithmetic runs on uint64 arrays masked to 32 bits, 128-bit
+    arithmetic on Python ints: no numpy scalar, which could raise on overflow.
+    """
+    pool = np.random.SeedSequence(master, spawn_key=prefix).pool.tolist()
+    n_words = max(4, _uint32_words(master)) + sum(_uint32_words(p) for p in prefix)
+    # hashmix calls so far: 4 to fill the pool, 12 to cross-mix it, 4 per later word.
+    hash_const = 0x43B0D7E5 * pow(0x931E8875, 16 + 4 * (n_words - 4), 2 ** 32) & _M32
+    pool = [np.full(len(trials), w, dtype=np.uint64) for w in pool]
+    for word in (np.arange(trials.start, trials.stop, dtype=np.uint64), k):
+        for d in range(4):
+            value = (word ^ hash_const) & _M32  # hashmix
+            hash_const = hash_const * 0x931E8875 & _M32
+            value = value * hash_const & _M32
+            value ^= value >> 16
+            mixed = (pool[d] * 0xCA01F9DD - value * 0x4973F715) & _M32  # mix
+            pool[d] = mixed ^ (mixed >> 16)
+    hash_const, words = 0x8B51F9DD, []
+    for j in range(8):  # generate_state
+        value = pool[j % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ (value >> 16))
+    # uint32 words pair up little-endian into (seed high, seed low, inc high, inc low).
+    seed_hi, seed_lo, inc_hi, inc_lo = ((words[j] | words[j + 1] << 32).tolist()
+                                        for j in (0, 2, 4, 6))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = (((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & _M128
+        states.append((state, inc))
+    return states
+
+
+@functools.cache
+def _batched_seeding_agrees() -> bool:
+    """Whether this numpy's ``default_rng(derive_seed(...))`` matches ``_pcg64_states``."""
+    master, prefix, t, k = 2 ** 63 + 12345, (1, 2 ** 32 + 5), 2 ** 32 - 1, 1
+    expected = np.random.default_rng(derive_seed(master, *prefix, t, k)).bit_generator.state
+    state = (expected["state"]["state"], expected["state"]["inc"])
+    return _pcg64_states(master, prefix, range(t, t + 1), k) == [state]
+
+
+def _null_pairs(dist: DistributionSpec, n: int, trials: int, seed: int, i: int):
+    """Yield each trial's null pair, drawn from ``derive_seed(seed, i, t, 0|1)``.
+
+    One generator is reseeded with the batched states of ``_pcg64_states``;
+    ``default_rng`` is the fallback when those would not match.
+    """
+    if trials > 2 ** 32 or not _batched_seeding_agrees():
+        for t in range(trials):
+            yield _sample(dist, n, _rng(seed, i, t, 0)), _sample(dist, n, _rng(seed, i, t, 1))
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def sample(state: int, inc: int) -> np.ndarray:
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        return _sample(dist, n, rng)
+
+    for start in range(0, trials, _SEED_BLOCK):
+        block = range(start, min(start + _SEED_BLOCK, trials))
+        for neg, pos in zip(_pcg64_states(seed, (i,), block, 0),
+                            _pcg64_states(seed, (i,), block, 1)):
+            yield sample(*neg), sample(*pos)
+
+
 def _null_gssmd(
     dist: DistributionSpec, n: int, trials: int, seed: int, i: int, bins: int | None
 ) -> np.ndarray:
@@ -350,20 +442,19 @@ def _null_gssmd(
     per chunk is scored pair by pair, where the per-pair kernel is faster.
     """
     signed = np.empty(trials)
+    pairs = _null_pairs(dist, n, trials, seed, i)
     chunk = _CALIBRATION_CHUNK_VALUES // (2 * n)
     if chunk < 2:
-        for t in range(trials):
-            neg = _sample(dist, n, _rng(seed, i, t, 0))
-            pos = _sample(dist, n, _rng(seed, i, t, 1))
+        for t, (neg, pos) in enumerate(pairs):
             signed[t] = _gssmd_from_arrays(neg, pos, bins).gssmd
         return signed
     neg, pos = np.empty((chunk, n)), np.empty((chunk, n))
     for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        for r, t in enumerate(range(start, stop)):
-            neg[r] = _sample(dist, n, _rng(seed, i, t, 0))
-            pos[r] = _sample(dist, n, _rng(seed, i, t, 1))
-        signed[start:stop] = _gssmd_rows(neg[:stop - start], pos[:stop - start], bins)
+        rows = min(chunk, trials - start)
+        # range first: zip stops there without taking a pair of the next chunk.
+        for r, (a, b) in zip(range(rows), pairs):
+            neg[r], pos[r] = a, b
+        signed[start:start + rows] = _gssmd_rows(neg[:rows], pos[:rows], bins)
     return signed
 
 

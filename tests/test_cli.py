@@ -246,6 +246,37 @@ class TestSimulateCommand:
         assert err.startswith("error: config key ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, key, config", [
+        ("fig6", "sizes", {"sizes": [10.5], "trials": 100, "dists": ["normal"]}),
+        ("fig4", "panel_c_sizes", {"panel_c_sizes": [100, 50.5], "trials": 1}),
+        ("fig5", "panel_c_sizes", {"panel_c_sizes": [10.0], "trials": 1}),
+    ])
+    def test_fractional_size_exits_2(self, tmp_path, capsys, scenario, key, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", scenario, "--seed", "1", "--out-dir", str(out),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}' for scenario {scenario} must be "
+                              "a list of integers") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, key, config", [
+        ("fig5", "snr_db", {"snr_db": [], "trials": 1}),
+        ("fig1", "sigmas", {"sigmas": []}),
+    ])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, scenario, key, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", scenario, "--seed", "1", "--out-dir", str(out),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}' for scenario {scenario} must be "
+                              "a non-empty list") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_fig4_overflowing_snr_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"snr_db": [4000]}))

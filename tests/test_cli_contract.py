@@ -1,7 +1,8 @@
 """The CLI's exit-code contract under arbitrary input.
 
 For any small plate or group CSV file, and for any scenario config value
-whose JSON type differs from its default's, ``main`` returns 0, 2 or 3,
+whose JSON type differs from its default's (or that is an empty list, or a
+list of sample sizes that are not all integers), ``main`` returns 0, 2 or 3,
 writes one stderr line on failure and none on success, emits no warning
 and never raises.
 """
@@ -67,13 +68,16 @@ _json_values = st.recursive(
 )
 
 
-def has_default_type(default, value) -> bool:
-    """The documented config rule: a bool is never a number."""
+def has_default_type(default, value, key=None) -> bool:
+    """The documented config rule: a bool is never a number, a list is never
+    empty and a list of sample sizes holds integers."""
     def number(v):
         return type(v) in (int, float)
     if type(default) is list:
         item_ok = (lambda v: type(v) is str) if type(default[0]) is str else number
-        return type(value) is list and all(item_ok(v) for v in value)
+        if key in ("sizes", "panel_c_sizes"):
+            item_ok = (lambda v: type(v) is int)
+        return type(value) is list and value != [] and all(item_ok(v) for v in value)
     return type(value) is int if type(default) is int else number(value)
 
 
@@ -104,8 +108,9 @@ def test_wrong_typed_config_value_exits_2_before_any_trial(data):
     scenario = data.draw(st.sampled_from(SCENARIO_NAMES))
     defaults = {**default_config(scenario), "bins": 1}
     key = data.draw(st.sampled_from(sorted(defaults)))
-    value = data.draw(_json_values.filter(
-        lambda v: not has_default_type(defaults[key], v) and not (key == "bins" and v is None)
+    value = data.draw((st.just([]) | _json_values).filter(
+        lambda v: not has_default_type(defaults[key], v, key)
+        and not (key == "bins" and v is None)
     ))
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"

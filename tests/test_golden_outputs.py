@@ -21,6 +21,10 @@ GOLDEN = {
     "cal/manifest.json": "954b0f3ed41bec6b675833af71d4c91e86e632b05b191e5d8f45b9bc56495f6b",
     "cal/null_calibration.csv":
         "9e5c6e90623f9788dd023a7adf6151931063093ffa35d3a418d44d576111fd4e",
+    "cal_max_seed/manifest.json":
+        "03ed66883591492808003ccbadc608f9c7ad9e27733abe67e6226f9e251f6384",
+    "cal_max_seed/null_calibration.csv":
+        "b29d5343e8c420038d751af95a8e12e5e853781a6f7f36efcbfc45ab82c84505",
     "fig1/fig1_sigma1.csv": "0f0012f119b1be43cf3c34d4f38548e3d9234ed593807ca02353d46db5bbcc50",
     "fig1/fig1_sigma3.csv": "f6be8b2cda15a378839554cfaf93446b9825586db039417e9a78f21f6c1f090b",
     "fig1/fig1_sigma5.csv": "2e665fad727ce980757714fa5479ef1e7119e7f525815fcd9248c1e977530a48",
@@ -59,6 +63,9 @@ def test_outputs_match_recorded_sha256(tmp_path, monkeypatch):
                      "--out-dir", str(tmp_path / "out" / name)]) == 0
     assert main(["calibrate", "--seed", "11", "--sizes", "10", "100", "--trials", "120",
                  "--out-dir", str(tmp_path / "out" / "cal")]) == 0
+    # The largest seed is two entropy words; n = 5000 is scored pair by pair.
+    assert main(["calibrate", "--seed", str(2 ** 64 - 1), "--sizes", "3", "5000",
+                 "--trials", "120", "--out-dir", str(tmp_path / "out" / "cal_max_seed")]) == 0
 
     out = tmp_path / "out"
     actual = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

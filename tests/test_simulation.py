@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from assayqc import (
     ConfigError,
@@ -349,3 +351,40 @@ class TestSeedLayout:
     def test_calibration_matches_per_trial_recomputation(self):
         table = calibrate_null([3, 50], 200, NORMAL, 37)
         assert table.rows == recomputed_null_rows([3, 50], 200, NORMAL, 37)
+
+
+class TestBatchedSeeding:
+    """calibrate_null computes trial states in batches, with the bits of derive_seed."""
+
+    @given(master=st.integers(0, 2 ** 128 - 1) | st.integers(2 ** 128, 2 ** 160),
+           prefix=st.lists(st.integers(0, 3) | st.integers(0, 2 ** 96), max_size=3),
+           k=st.sampled_from([0, 1, 2]),
+           start=st.integers(2 ** 32 - 64, 2 ** 32 - 4) | st.integers(0, 100))
+    def test_states_match_derive_seed(self, master, prefix, k, start):
+        trials = range(start, start + 4)
+        expected = []
+        for t in trials:
+            state = np.random.default_rng(derive_seed(master, *prefix, t, k)).bit_generator.state
+            expected.append((state["state"]["state"], state["state"]["inc"]))
+        assert simulation._pcg64_states(master, tuple(prefix), trials, k) == expected
+
+    def test_fallback_gives_the_same_table(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("batched states used after a failed check")
+        monkeypatch.setattr(simulation, "_batched_seeding_agrees", lambda: False)
+        monkeypatch.setattr(simulation, "_pcg64_states", unused)
+        table = calibrate_null([3, 5000], 101, NORMAL, 53)
+        assert table.rows == recomputed_null_rows([3, 5000], 101, NORMAL, 53)
+
+    def test_block_edges_do_not_show(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_SEED_BLOCK", 7)
+        dist = DistributionSpec.lognormal(0, 1)
+        table = calibrate_null([3, 5000], 103, dist, 2 ** 40)
+        assert table.rows == recomputed_null_rows([3, 5000], 103, dist, 2 ** 40)
+
+    def test_same_table_under_raising_errstate(self):
+        # Sizes on both sides of the chunk switch; a 64-bit master is two entropy words.
+        seed = 2 ** 64 - 1
+        with np.errstate(all="raise"):
+            table = calibrate_null([3, 5000], 101, NORMAL, seed)
+        assert table.rows == recomputed_null_rows([3, 5000], 101, NORMAL, seed)
