@@ -24,6 +24,7 @@ from .simulation import (
     GridPoint,
     ScenarioConfig,
     ScenarioResult,
+    _run_grid,
     add_awgn,
     calibrate_null,
     derive_seed,
@@ -113,8 +114,11 @@ def _expected_type(default, value) -> str | None:
 def resolve_config(name: str, overrides: dict | None = None) -> dict:
     """Merge a user config over the scenario defaults.
 
-    Unknown keys, and values without the JSON type of their default, raise
-    ``ConfigError``.
+    Raises ``ConfigError`` for an unknown key, a value without the JSON type
+    of its default, an empty list (it would write empty tables) and a sample
+    size in fig6 ``sizes`` or fig4/fig5 ``panel_c_sizes`` that is not an
+    integer (it would be truncated). Value ranges, such as a NaN location,
+    are checked when the run builds its ``ScenarioConfig``/``DistributionSpec``.
     """
     cfg = default_config(name)
     for key, value in (overrides or {}).items():
@@ -125,32 +129,16 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r} for scenario {name}")
         expected = _expected_type(cfg[key], value)
+        if expected is None and value == []:
+            expected = "a non-empty list"
+        elif (expected is None and key in ("sizes", "panel_c_sizes")
+              and any(_expected_type(1, v) for v in value)):
+            expected = "a list of integers"
         if expected is not None:
             raise ConfigError(f"config key {key!r} for scenario {name} must be {expected}, "
                               f"got {value!r}")
         cfg[key] = value
     return cfg
-
-
-# Lists of sample sizes take integers; other lists of numbers take any number.
-_SIZE_LISTS = ("sizes", "panel_c_sizes")
-
-
-def _check_values(name: str, cfg: dict) -> None:
-    """Reject what the JSON type rule admits but no run can use.
-
-    That is an empty list, which would write empty tables, and a sample size
-    that is not an integer, which would be truncated.
-    """
-    for key, value in cfg.items():
-        if value == []:
-            expected = "a non-empty list"
-        elif key in _SIZE_LISTS and any(_expected_type(1, v) for v in value):
-            expected = "a list of integers"
-        else:
-            continue
-        raise ConfigError(f"config key {key!r} for scenario {name} must be {expected}, "
-                          f"got {value!r}")
 
 
 def load_config_file(path) -> dict:
@@ -223,43 +211,29 @@ def _scaled_rows(
     return rows
 
 
+def _mean_difference_panel(
+    name: str, cfg: dict, neg: DistributionSpec, param: str, seed: int, bins: int | None,
+):
+    """One mean-difference sweep from ``neg`` as a table, its scale column named ``param``."""
+    sweep = ScenarioConfig(neg=neg, mu_diffs=tuple(cfg["mu_diffs"]), n=cfg["n"],
+                           seed=seed, trials=cfg["trials"], bins=bins)
+    rows = _result_rows(name, run_mean_difference_sweep(sweep).points, {param: neg.scale})
+    return ["scenario", param, "mu_diff", "metric", "aggregate", "value"], rows
+
+
 def _run_fig1(cfg: dict, seed: int, bins: int | None):
-    files = {}
-    for k, sigma in enumerate(cfg["sigmas"]):
-        sweep = ScenarioConfig(
-            neg=DistributionSpec.normal(0.0, float(sigma)),
-            mu_diffs=tuple(cfg["mu_diffs"]),
-            n=cfg["n"],
-            seed=_panel_seed(seed, k),
-            trials=cfg["trials"],
-            bins=bins,
-        )
-        result = run_mean_difference_sweep(sweep)
-        rows = _result_rows("fig1", result.points, {"sigma": float(sigma)})
-        files[f"fig1_sigma{sigma}.csv"] = (
-            ["scenario", "sigma", "mu_diff", "metric", "aggregate", "value"],
-            rows,
-        )
-    return files
+    return {
+        f"fig1_sigma{sigma}.csv": _mean_difference_panel(
+            "fig1", cfg, DistributionSpec.normal(0.0, float(sigma)), "sigma",
+            _panel_seed(seed, k), bins)
+        for k, sigma in enumerate(cfg["sigmas"])
+    }
 
 
 def _run_fig2(cfg: dict, seed: int, bins: int | None):
-    sweep = ScenarioConfig(
-        neg=DistributionSpec.lognormal(0.0, float(cfg["shape"])),
-        mu_diffs=tuple(cfg["mu_diffs"]),
-        n=cfg["n"],
-        seed=_panel_seed(seed, 0),
-        trials=cfg["trials"],
-        bins=bins,
-    )
-    result = run_mean_difference_sweep(sweep)
-    rows = _result_rows("fig2", result.points, {"shape": float(cfg["shape"])})
-    return {
-        "fig2_lognormal.csv": (
-            ["scenario", "shape", "mu_diff", "metric", "aggregate", "value"],
-            rows,
-        )
-    }
+    neg = DistributionSpec.lognormal(0.0, float(cfg["shape"]))
+    return {"fig2_lognormal.csv": _mean_difference_panel(
+        "fig2", cfg, neg, "shape", _panel_seed(seed, 0), bins)}
 
 
 def _run_fig3(cfg: dict, seed: int, bins: int | None):
@@ -322,29 +296,18 @@ def _run_fig5(cfg: dict, seed: int, bins: int | None):
 
     # Panel D: repeated small subsamples vs the direct full-group estimate.
     size, repeats = cfg["subsample_size"], cfg["subsample_repeats"]
-    panel_seed = _panel_seed(seed, 2)
-    points = []
-    for i, d in enumerate(cfg["mu_diffs"]):
-        for j, snr in enumerate(cfg["snr_db"]):
-            trials = []
-            for t in range(cfg["trials"]):
-                base = draw(DistributionSpec.normal(0.0, 1.0), cfg["n"],
-                            derive_seed(panel_seed, i, j, t, 0))
-                neg = add_awgn(base, snr, derive_seed(panel_seed, i, j, t, 1))
-                pos = add_awgn(
-                    SampleSet(base.values + d), snr, derive_seed(panel_seed, i, j, t, 2)
-                )
-                sub = run_subsampled_estimate(
-                    neg, pos, size, repeats, derive_seed(panel_seed, i, j, t, 3), bins
-                )
-                full = run_subsampled_estimate(
-                    neg, pos, cfg["n"], 1, derive_seed(panel_seed, i, j, t, 4), bins
-                )
-                trials.append({
-                    "gssmd_subsampled": sub.mean_gssmd, "ssmd_subsampled": sub.mean_ssmd,
-                    "gssmd_full": full.mean_gssmd, "ssmd_full": full.mean_ssmd,
-                })
-            points.append(GridPoint.of({"mu_diff": float(d), "snr_db": float(snr)}, trials))
+
+    def trial(d, snr, seeds):
+        base = draw(DistributionSpec.normal(0.0, 1.0), cfg["n"], seeds(0))
+        neg = add_awgn(base, snr, seeds(1))
+        pos = add_awgn(SampleSet(base.values + d), snr, seeds(2))
+        sub = run_subsampled_estimate(neg, pos, size, repeats, seeds(3), bins)
+        full = run_subsampled_estimate(neg, pos, cfg["n"], 1, seeds(4), bins)
+        return {"gssmd_subsampled": sub.mean_gssmd, "ssmd_subsampled": sub.mean_ssmd,
+                "gssmd_full": full.mean_gssmd, "ssmd_full": full.mean_ssmd}
+
+    axes = {"mu_diff": cfg["mu_diffs"], "snr_db": cfg["snr_db"]}
+    points = _run_grid(_panel_seed(seed, 2), axes, cfg["trials"], trial)
     rows = _result_rows("fig5", points, {"subsample_size": size, "repeats": repeats})
     files["fig5_panelD.csv"] = (
         ["scenario", "mu_diff", "snr_db", "subsample_size", "repeats",
@@ -436,6 +399,5 @@ def run_scenario(
     if bins is None:
         bins = replayed_bins
     cfg = resolve_config(name, overrides)
-    _check_values(name, cfg)
     files = _RUNNERS[name](cfg, seed, bins)
     return emit_run(out_dir, files, "simulate", {"scenario": name, **cfg, "bins": bins}, seed)

@@ -10,8 +10,10 @@ its own from that key.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +43,8 @@ class DistributionSpec:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
         if not self.scale > 0:
             raise ConfigError("distribution scale must be positive")
+        if math.isnan(self.location):
+            raise ConfigError("distribution location must not be NaN")
 
     @classmethod
     def normal(cls, location: float = 0.0, scale: float = 1.0) -> "DistributionSpec":
@@ -58,10 +62,6 @@ class DistributionSpec:
 def derive_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
     """Child seed as a pure function of the master seed and an index tuple."""
     return np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
-
-
-def _rng(master_seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master_seed, *key))
 
 
 def _sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -200,6 +200,25 @@ class ScenarioConfig:
             raise ConfigError("bins override must be >= 1")
 
 
+def _run_grid(
+    seed: int, axes: dict[str, Sequence], trials: int,
+    trial: Callable[..., dict[str, float]],
+) -> list[GridPoint]:
+    """Run ``trials`` trials at every point of the grid over ``axes``, row-major.
+
+    ``trial(*axis_values, seeds)`` returns one trial's ``{metric: value}``,
+    where ``seeds(k)`` is ``derive_seed(seed, *axis_indices, t, k)``: the
+    key layout of every sweep. A point's params are its float axis values.
+    """
+    points = []
+    for cell in itertools.product(*(enumerate(values) for values in axes.values())):
+        index, values = zip(*cell)
+        results = [trial(*values, functools.partial(derive_seed, seed, *index, t))
+                   for t in range(trials)]
+        points.append(GridPoint.of(dict(zip(axes, map(float, values))), results))
+    return points
+
+
 def run_mean_difference_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     """All metrics vs location shift: neg from cfg.neg, pos shifted by mu_diff.
 
@@ -207,15 +226,13 @@ def run_mean_difference_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     """
     if not cfg.mu_diffs:
         raise ConfigError("mean-difference sweep needs a mu_diffs grid")
-    points = []
-    for i, d in enumerate(cfg.mu_diffs):
-        pos_spec = cfg.neg.shifted(d)
-        trials = []
-        for t in range(cfg.trials):
-            neg = _sample(cfg.neg, cfg.n, _rng(cfg.seed, i, t, 0))
-            pos = _sample(pos_spec, cfg.n, _rng(cfg.seed, i, t, 1))
-            trials.append(_pair_metrics(neg, pos, cfg.bins))
-        points.append(GridPoint.of({"mu_diff": float(d)}, trials))
+
+    def trial(d, seeds):
+        neg = _sample(cfg.neg, cfg.n, np.random.default_rng(seeds(0)))
+        pos = _sample(cfg.neg.shifted(d), cfg.n, np.random.default_rng(seeds(1)))
+        return _pair_metrics(neg, pos, cfg.bins)
+
+    points = _run_grid(cfg.seed, {"mu_diff": cfg.mu_diffs}, cfg.trials, trial)
     return ScenarioResult("mean_difference", points, cfg.n, cfg.trials, cfg.seed, cfg.bins)
 
 
@@ -228,18 +245,16 @@ def run_outlier_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     """
     if cfg.outlier_fractions is None or cfg.outlier_means is None:
         raise ConfigError("outlier sweep needs outlier_fractions and outlier_means grids")
-    points = []
-    for i, frac in enumerate(cfg.outlier_fractions):
-        for j, om in enumerate(cfg.outlier_means):
-            outlier = DistributionSpec.normal(om, cfg.outlier_scale)
-            trials = []
-            for t in range(cfg.trials):
-                neg = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, j, t, 0))
-                pos = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, j, t, 1))
-                pos = inject_outliers(pos, frac, outlier, derive_seed(cfg.seed, i, j, t, 2))
-                trials.append(_pair_metrics(neg.values, pos.values, cfg.bins))
-            params = {"fraction": float(frac), "outlier_mean": float(om)}
-            points.append(GridPoint.of(params, trials))
+
+    def trial(frac, om, seeds):
+        neg = draw(cfg.neg, cfg.n, seeds(0))
+        pos = draw(cfg.neg, cfg.n, seeds(1))
+        outlier = DistributionSpec.normal(om, cfg.outlier_scale)
+        pos = inject_outliers(pos, frac, outlier, seeds(2))
+        return _pair_metrics(neg.values, pos.values, cfg.bins)
+
+    axes = {"fraction": cfg.outlier_fractions, "outlier_mean": cfg.outlier_means}
+    points = _run_grid(cfg.seed, axes, cfg.trials, trial)
     return ScenarioResult("outliers", points, cfg.n, cfg.trials, cfg.seed, cfg.bins)
 
 
@@ -254,16 +269,15 @@ def run_noise_sweep(cfg: ScenarioConfig) -> ScenarioResult:
         raise ConfigError("noise sweep needs an snr_db grid")
     if not cfg.mu_diffs:
         raise ConfigError("noise sweep needs a mu_diffs grid")
-    points = []
-    for i, d in enumerate(cfg.mu_diffs):
-        for j, snr in enumerate(cfg.snr_db):
-            trials = []
-            for t in range(cfg.trials):
-                base = _sample(cfg.neg, cfg.n, _rng(cfg.seed, i, j, t, 0))
-                neg = add_awgn(SampleSet(base), snr, derive_seed(cfg.seed, i, j, t, 1))
-                pos = add_awgn(SampleSet(base + d), snr, derive_seed(cfg.seed, i, j, t, 2))
-                trials.append(_pair_metrics(neg.values, pos.values, cfg.bins))
-            points.append(GridPoint.of({"mu_diff": float(d), "snr_db": float(snr)}, trials))
+
+    def trial(d, snr, seeds):
+        base = _sample(cfg.neg, cfg.n, np.random.default_rng(seeds(0)))
+        neg = add_awgn(SampleSet(base), snr, seeds(1))
+        pos = add_awgn(SampleSet(base + d), snr, seeds(2))
+        return _pair_metrics(neg.values, pos.values, cfg.bins)
+
+    points = _run_grid(cfg.seed, {"mu_diff": cfg.mu_diffs, "snr_db": cfg.snr_db},
+                       cfg.trials, trial)
     return ScenarioResult("noise", points, cfg.n, cfg.trials, cfg.seed, cfg.bins)
 
 
@@ -414,7 +428,8 @@ def _null_pairs(dist: DistributionSpec, n: int, trials: int, seed: int, i: int):
     """
     if trials > 2 ** 32 or not _batched_seeding_agrees():
         for t in range(trials):
-            yield _sample(dist, n, _rng(seed, i, t, 0)), _sample(dist, n, _rng(seed, i, t, 1))
+            neg, pos = (np.random.default_rng(derive_seed(seed, i, t, k)) for k in (0, 1))
+            yield _sample(dist, n, neg), _sample(dist, n, pos)
         return
     rng = np.random.Generator(np.random.PCG64(0))
 

@@ -431,3 +431,20 @@ class TestCalibrateCommand:
     def test_too_few_trials_exits_2(self, tmp_path):
         assert main(["calibrate", "--seed", "4", "--sizes", "10",
                      "--trials", "10", "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, config", [
+    (["calibrate", "--sizes", "10", "--trials", "100", "--location", "nan"], None),
+    (["simulate", "fig6"], {"location": float("nan"), "trials": 100}),
+    (["simulate", "fig1"], {"mu_diffs": [float("nan")], "trials": 1}),
+    (["simulate", "fig3"], {"outlier_means": [float("nan")], "trials": 1}),
+], ids=["calibrate", "fig6", "fig1", "fig3"])
+def test_nan_location_exits_2(tmp_path, capsys, command, config):
+    argv = command + ["--seed", "1", "--out-dir", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))  # written as NaN
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: distribution location must not be NaN\n"
+    assert not (tmp_path / "out").exists()

@@ -23,10 +23,19 @@ class TestConfigResolution:
         assert cfg["sigmas"] == [1, 3, 5]
 
     def test_values_of_the_default_type_accepted(self):
-        cfg = resolve_config("fig6", {"sizes": [10, 20.0], "location": 1, "scale": 2.5,
+        cfg = resolve_config("fig6", {"sizes": [10, 20], "location": 1, "scale": 2.5,
                                       "dists": ["normal"], "trials": 100})
         assert cfg["location"] == 1 and cfg["dists"] == ["normal"]
-        assert resolve_config("fig1", {"mu_diffs": [0.5, 2], "sigmas": []})["mu_diffs"] == [0.5, 2]
+        assert resolve_config("fig1", {"mu_diffs": [0.5, 2]})["mu_diffs"] == [0.5, 2]
+
+    @pytest.mark.parametrize("name, key, value, expected", [
+        ("fig6", "sizes", [10, 20.0], "a list of integers"),
+        ("fig1", "sigmas", [], "a non-empty list"),
+        ("fig6", "dists", [], "a non-empty list"),
+    ])
+    def test_values_no_run_can_use_rejected(self, name, key, value, expected):
+        with pytest.raises(ConfigError, match=f"'{key}' for scenario {name} must be {expected}"):
+            resolve_config(name, {key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("n", True), ("n", 10.0), ("shape", False), ("shape", "1"), ("shape", None),

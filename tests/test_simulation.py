@@ -37,22 +37,58 @@ def _moments(values):
     return TrialAggregate(float(a.mean()), float(a.std()), float(a.min()), float(a.max()))
 
 
+def _trial_metrics(neg, pos, bins):
+    s_neg, s_pos = summarize(neg), summarize(pos)
+    overlap = gssmd(neg, pos, bins)
+    return {"z_factor": z_factor(s_pos, s_neg), "ssmd": ssmd(s_pos, s_neg),
+            "gssmd": overlap.gssmd, "ovl": overlap.ovl}
+
+
+def _point(params, trials):
+    return GridPoint(params, {k: _moments([t[k] for t in trials]) for k in trials[0]})
+
+
 def recomputed_sweep_points(cfg):
     """run_mean_difference_sweep rebuilt trial by trial from derive_seed(seed, i, t, group)."""
     points = []
     for i, d in enumerate(cfg.mu_diffs):
-        per_metric = {"z_factor": [], "ssmd": [], "gssmd": [], "ovl": []}
+        trials = []
         for t in range(cfg.trials):
             neg = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, t, 0))
             pos = draw(cfg.neg.shifted(d), cfg.n, derive_seed(cfg.seed, i, t, 1))
-            s_neg, s_pos = summarize(neg), summarize(pos)
-            overlap = gssmd(neg, pos, cfg.bins)
-            per_metric["z_factor"].append(z_factor(s_pos, s_neg))
-            per_metric["ssmd"].append(ssmd(s_pos, s_neg))
-            per_metric["gssmd"].append(overlap.gssmd)
-            per_metric["ovl"].append(overlap.ovl)
-        points.append(GridPoint({"mu_diff": float(d)},
-                                {k: _moments(v) for k, v in per_metric.items()}))
+            trials.append(_trial_metrics(neg, pos, cfg.bins))
+        points.append(_point({"mu_diff": float(d)}, trials))
+    return points
+
+
+def recomputed_outlier_points(cfg):
+    """run_outlier_sweep rebuilt trial by trial from derive_seed(seed, i, j, t, stream)."""
+    points = []
+    for i, frac in enumerate(cfg.outlier_fractions):
+        for j, om in enumerate(cfg.outlier_means):
+            trials = []
+            for t in range(cfg.trials):
+                neg = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, j, t, 0))
+                pos = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, j, t, 1))
+                pos = inject_outliers(pos, frac, DistributionSpec.normal(om, cfg.outlier_scale),
+                                      derive_seed(cfg.seed, i, j, t, 2))
+                trials.append(_trial_metrics(neg, pos, cfg.bins))
+            points.append(_point({"fraction": float(frac), "outlier_mean": float(om)}, trials))
+    return points
+
+
+def recomputed_noise_points(cfg):
+    """run_noise_sweep rebuilt trial by trial from derive_seed(seed, i, j, t, stream)."""
+    points = []
+    for i, d in enumerate(cfg.mu_diffs):
+        for j, snr in enumerate(cfg.snr_db):
+            trials = []
+            for t in range(cfg.trials):
+                base = draw(cfg.neg, cfg.n, derive_seed(cfg.seed, i, j, t, 0))
+                neg = add_awgn(base, snr, derive_seed(cfg.seed, i, j, t, 1))
+                pos = add_awgn(SampleSet(base.values + d), snr, derive_seed(cfg.seed, i, j, t, 2))
+                trials.append(_trial_metrics(neg, pos, cfg.bins))
+            points.append(_point({"mu_diff": float(d), "snr_db": float(snr)}, trials))
     return points
 
 
@@ -347,6 +383,17 @@ class TestSeedLayout:
     def test_mean_difference_sweep_matches_per_trial_recomputation(self):
         cfg = ScenarioConfig(neg=NORMAL, mu_diffs=(0.0, 2.0), n=500, seed=31, trials=8)
         assert run_mean_difference_sweep(cfg).points == recomputed_sweep_points(cfg)
+
+    def test_outlier_sweep_matches_per_trial_recomputation(self):
+        # A 3 x 2 grid, so a swapped or dropped grid index changes the keys.
+        cfg = ScenarioConfig(neg=NORMAL, n=300, seed=41, trials=4, bins=7,
+                             outlier_fractions=(0.0, 0.1, 0.3), outlier_means=(5.0, 20.0))
+        assert run_outlier_sweep(cfg).points == recomputed_outlier_points(cfg)
+
+    def test_noise_sweep_matches_per_trial_recomputation(self):
+        cfg = ScenarioConfig(neg=DistributionSpec.lognormal(0, 0.5), mu_diffs=(0.0, 3.0),
+                             n=300, seed=43, trials=4, snr_db=(-10.0, 10.0, 30.0))
+        assert run_noise_sweep(cfg).points == recomputed_noise_points(cfg)
 
     def test_calibration_matches_per_trial_recomputation(self):
         table = calibrate_null([3, 50], 200, NORMAL, 37)
