@@ -31,7 +31,14 @@ from .hits import (
     evaluate_threshold,
     select_hits,
 )
-from .plates import EXPECTED_HEADER, Plate, load_plate_csv, plates_from_rows, read_csv_rows
+from .plates import (
+    EXPECTED_HEADER,
+    Plate,
+    WellRole,
+    load_plate_csv,
+    plates_from_rows,
+    read_csv_rows,
+)
 from .report import __version__, compute_metric_report, json_dumps
 from .samples import SampleSet
 from .scenarios import SCENARIO_NAMES, emit_run, load_config_file, run_scenario
@@ -184,12 +191,13 @@ def _select_plate(path: Path, plate_id: str | None) -> Plate:
 
 def _log_plate(plate: Plate) -> Plate:
     """``--log-transform``: the natural log of every well value, all of which must be > 0."""
-    for w in plate.wells:
-        if w.value is not None and not w.value > 0:
-            raise NonPositiveValue(
-                f"plate {plate.plate_id}: well {w.address} has value {w.value:g}; "
-                "--log-transform needs every well value to be positive"
-            )
+    non_positive = ~plate.is_role(WellRole.EMPTY) & ~(plate.value > 0)
+    if non_positive.any():
+        w = plate.wells[int(np.argmax(non_positive))]
+        raise NonPositiveValue(
+            f"plate {plate.plate_id}: well {w.address} has value {w.value:g}; "
+            "--log-transform needs every well value to be positive"
+        )
     return plate.transformed(np.log)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     SingleClassInput,
     ZeroSign,
 )
-from .overlap import build_histogram_pair, ovl as overlap_coefficient
+from .overlap import _result_from_counts, build_histogram_pair
 from .plates import Plate, WellRole
 from .report import MetricReport, compute_metric_report
 from .samples import SampleSet, summarize
@@ -120,8 +120,7 @@ def gssmd_threshold(
     direction = _direction_from_means(neg, pos)
 
     pair = build_histogram_pair(neg, pos, bins)
-    overlap = overlap_coefficient(pair)
-    g = (1 if direction is Direction.POSITIVE_IS_HIGHER else -1) * (1.0 - overlap)
+    g = _result_from_counts(pair.counts_neg, pair.counts_pos, neg.values, pos.values).gssmd
     meets = abs(g) >= 1.0 - alpha
 
     neg_lo, neg_hi = float(neg.values.min()), float(neg.values.max())
@@ -339,9 +338,10 @@ def select_hits(
     neg, pos = plate.control_sets()
     threshold, direction = compute_threshold(neg, pos, rule, bins, direction)
     if direction is Direction.POSITIVE_IS_HIGHER:
-        hits = [w.address for w in plate.sample_wells() if w.value > threshold]
+        beyond = plate.value > threshold
     else:
-        hits = [w.address for w in plate.sample_wells() if w.value < threshold]
+        beyond = plate.value < threshold
+    hits = plate.addresses(plate.is_role(WellRole.SAMPLE) & beyond)
     return HitReport(
         threshold=float(threshold),
         direction=direction,

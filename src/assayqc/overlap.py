@@ -142,7 +142,14 @@ def _gssmd_from_arrays(
     neg: np.ndarray, pos: np.ndarray, bins: int | None = None
 ) -> OverlapResult:
     """Array-level core shared with the simulation runners."""
-    edges, c_neg, c_pos = _histogram_counts(neg, pos, bins)
+    _, c_neg, c_pos = _histogram_counts(neg, pos, bins)
+    return _result_from_counts(c_neg, c_pos, neg, pos)
+
+
+def _result_from_counts(
+    c_neg: np.ndarray, c_pos: np.ndarray, neg: np.ndarray, pos: np.ndarray
+) -> OverlapResult:
+    """``OverlapResult`` of two raw arrays from their shared-edge bin counts."""
     overlap = float(_ovl_from_counts(c_neg, c_pos, neg.size, pos.size))
     sign = int(np.sign(pos.mean() - neg.mean()))
     gcnr = 1.0 - overlap

@@ -115,7 +115,8 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
     """Merge a user config over the scenario defaults.
 
     Raises ``ConfigError`` for an unknown key, a value without the JSON type
-    of its default, an empty list (it would write empty tables) and a sample
+    of its default, an empty list (it would write empty tables), a list that
+    repeats a value (its runs would write one file or row twice) and a sample
     size in fig6 ``sizes`` or fig4/fig5 ``panel_c_sizes`` that is not an
     integer (it would be truncated). Value ranges, such as a NaN location,
     are checked when the run builds its ``ScenarioConfig``/``DistributionSpec``.
@@ -137,6 +138,11 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
         if expected is not None:
             raise ConfigError(f"config key {key!r} for scenario {name} must be {expected}, "
                               f"got {value!r}")
+        if isinstance(value, list):
+            repeated = [v for i, v in enumerate(value) if v in value[:i]]
+            if repeated:
+                raise ConfigError(f"config key {key!r} for scenario {name} repeats "
+                                  f"{repeated[0]!r}; each grid value must appear once")
         cfg[key] = value
     return cfg
 

@@ -101,6 +101,14 @@ class TestMetricsCommand:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["metrics", "hits"])
+    def test_address_beyond_int64_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "plate.csv"
+        path.write_text(PLATE_HEADER + f"p1,1,1,pos,1\np1,{2**63},1,neg,2\n")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (f"error: line 3: well address ({2**63}, 1) "
+                                           "must be below 2**63\n")
+
+    @pytest.mark.parametrize("command", ["metrics", "hits"])
     def test_header_only_plate_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "plate.csv"
         path.write_text(PLATE_HEADER)
@@ -275,6 +283,23 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key '{key}' for scenario {scenario} must be "
                               "a non-empty list") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, key, config, repeated", [
+        ("fig1", "sigmas", {"sigmas": [1, 1], "trials": 1, "n": 50}, "1"),
+        ("fig3", "fractions", {"fractions": [0, 0.1, 0.0], "trials": 1}, "0.0"),
+        ("fig6", "dists", {"dists": ["normal", "normal"], "trials": 100}, "'normal'"),
+    ])
+    def test_repeated_grid_value_exits_2(self, tmp_path, capsys, scenario, key, config,
+                                         repeated):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", scenario, "--seed", "1", "--out-dir", str(out),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: config key '{key}' for scenario {scenario} repeats {repeated}; "
+                       "each grid value must appear once\n")
         assert not out.exists()
 
     def test_fig4_overflowing_snr_exits_3(self, tmp_path, capsys):

@@ -1,6 +1,12 @@
+import csv
 import io
+import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assayqc import (
     DuplicateWell,
@@ -11,7 +17,9 @@ from assayqc import (
     Well,
     WellRole,
     load_plate_csv,
+    plates as plate_module,
 )
+from assayqc.errors import DataValidationError
 from assayqc.plates import read_csv_rows
 
 HEADER = "plate_id,row,col,role,value\n"
@@ -130,6 +138,10 @@ class TestPlateHelpers:
         assert plate.wells[2].value == 20.0
         assert plate.wells[-1].value is None
 
+    def test_transformed_values_must_stay_finite(self):
+        with pytest.raises(NonFiniteValue, match=r"^well \(1, 2\) needs a finite value$"):
+            self.make().transformed(lambda v: np.where(v < 10, v, np.inf))
+
     def test_duplicate_addresses_rejected_at_construction(self):
         with pytest.raises(DuplicateWell):
             Plate("p", [Well(1, 1, WellRole.SAMPLE, 1.0), Well(1, 1, WellRole.SAMPLE, 2.0)])
@@ -181,3 +193,191 @@ class TestReadCsvRows:
         with pytest.raises(MalformedRow, match="empty input"):
             with read_csv_rows(b"", [["group", "value"]]):
                 pass
+
+
+# --- the column-wise loader against the per-row loader it replaced ----------
+
+def _row_by_row_well(fields):
+    """The per-row check the column-wise loader replaced, kept as the oracle."""
+    plate_id, row_s, col_s, role_s, value_s = fields
+    if not plate_id:
+        raise MalformedRow("empty plate_id")
+    try:
+        row, col = int(row_s), int(col_s)
+    except ValueError:
+        raise MalformedRow("row/col must be integers") from None
+    roles = ["empty", "neg", "pos", "sample"]
+    role = role_s.lower()
+    if role not in roles:
+        raise UnknownRole(f"role {role_s!r} not in {roles}")
+    if not value_s and role != "empty":
+        raise MalformedRow(f"role {role!r} needs a value")
+    try:
+        value = float(value_s) if value_s else None
+    except ValueError:
+        raise MalformedRow(f"value {value_s!r} is not a number") from None
+    if row < 1 or col < 1:
+        raise MalformedRow(f"well address ({row}, {col}) must be positive")
+    if role == "empty":
+        if value is not None:
+            raise MalformedRow("empty wells carry no value")
+    elif value is None or not math.isfinite(value):
+        raise NonFiniteValue(f"well ({row}, {col}) needs a finite value")
+    return plate_id, (row, col, role, value)
+
+
+def load_row_by_row(text):
+    """``[(plate_id, [(row, col, role, value), ...]), ...]``, one row at a time."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    found: dict[str, dict] = {}
+    try:
+        for fields in reader:
+            fields = [f.strip() for f in fields]
+            if fields in ([], [""]):
+                continue
+            line = reader.line_num
+            if len(fields) != 5:
+                raise MalformedRow(
+                    f"line {line}: expected 5 fields (plate_id,row,col,role,value), "
+                    f"got {len(fields)}")
+            try:
+                plate_id, well = _row_by_row_well(fields)
+                wells = found.setdefault(plate_id, {})
+                if well[:2] in wells:
+                    raise DuplicateWell(
+                        f"plate {plate_id}: duplicate well R{well[0]}C{well[1]}")
+                wells[well[:2]] = well
+            except DataValidationError as exc:
+                raise type(exc)(f"line {line}: {exc}") from None
+    except csv.Error as exc:
+        raise MalformedRow(f"unreadable CSV: {exc}") from None
+    if not found:
+        raise MalformedRow("no data rows after the header")
+    return [(pid, list(wells.values())) for pid, wells in found.items()]
+
+
+def outcome(load, text):
+    """``load(text)``, or the class and message of the error it raises."""
+    try:
+        return load(text)
+    except DataValidationError as exc:
+        return type(exc), str(exc)
+
+
+def load_text(text):
+    return load_plate_csv(io.StringIO(text))
+
+
+def load_as_tuples(text):
+    return [(p.plate_id, [(w.row, w.col, w.role.value, w.value) for w in p.wells])
+            for p in load_text(text)]
+
+
+def assert_same_as_row_by_row(text, chunk_rows=plate_module.CHUNK_ROWS):
+    with mock.patch.object(plate_module, "CHUNK_ROWS", chunk_rows):
+        assert outcome(load_as_tuples, text) == outcome(load_row_by_row, text), text
+
+
+# Mostly valid fields, so that most rows pass and addresses repeat.
+_address = st.sampled_from(["1", "2", "3"] * 5 + [" 2 ", "0", "-1", "a", "1.5", "", "1_0", "+3",
+                                                  "\u0663", "9223372036854775807"])
+_fields = st.tuples(
+    st.sampled_from(["p1"] * 6 + ["p2", " p2 ", "P1", ""]),
+    _address,
+    _address,
+    st.sampled_from(["pos", "neg", "sample", "empty"] * 3 + ["Pos", " NEG ", "ctl", ""]),
+    st.sampled_from(["1", "-2.5", "0", "1e-300"] * 3 + [" 3 ", "", "nan", "inf", "1e400",
+                                                        "x"]),
+)
+_lines = st.lists(
+    _fields.map(",".join)
+    | st.sampled_from(["", "  ", "p1,1,1,pos", "p1,1,1,pos,1,2", ",",
+                       '"p\n1",1,1,pos,1', 'p2,2,2,neg,"4\n"']),
+    max_size=14,
+)
+
+
+@settings(max_examples=400)
+@given(_lines, st.sampled_from([1, 2, 3, 5, plate_module.CHUNK_ROWS]))
+def test_same_plates_or_error_as_the_row_by_row_loader(lines, chunk_rows):
+    assert_same_as_row_by_row(HEADER + "\n".join(lines) + "\n", chunk_rows)
+
+
+def valid_rows(n, plate_id="p1"):
+    return [f"{plate_id},{i // 48 + 1},{i % 48 + 1},sample,{i}.5" for i in range(n)]
+
+
+class TestColumnWiseLoader:
+    def test_error_in_the_second_chunk(self):
+        lines = valid_rows(plate_module.CHUNK_ROWS + 100)
+        lines[plate_module.CHUNK_ROWS + 50] = "p1,1,1,ctl,1"
+        text = HEADER + "\n".join(lines) + "\n"
+        with pytest.raises(UnknownRole, match=f"^line {plate_module.CHUNK_ROWS + 52}: role 'ctl'"):
+            load_text(text)
+        assert_same_as_row_by_row(text)
+
+    def test_duplicate_across_chunks(self):
+        lines = valid_rows(plate_module.CHUNK_ROWS + 100) + ["p1,1,7,neg,2"]
+        text = HEADER + "\n".join(lines) + "\n"
+        with pytest.raises(DuplicateWell,
+                           match=f"^line {len(lines) + 1}: plate p1: duplicate well R1C7$"):
+            load_text(text)
+        assert_same_as_row_by_row(text)
+
+    def test_a_bad_row_before_a_duplicate_wins(self):
+        text = HEADER + "p1,1,1,pos,1\np1,1,2,ctl,1\np1,1,1,neg,2\n"
+        with pytest.raises(UnknownRole, match="^line 3: "):
+            load_text(text)
+        assert_same_as_row_by_row(text)
+
+    def test_a_duplicate_before_a_bad_row_wins(self):
+        text = HEADER + "p1,1,1,pos,1\np1,1,1,neg,2\np1,1,2,ctl,1\n"
+        with pytest.raises(DuplicateWell, match="^line 3: plate p1: duplicate well R1C1$"):
+            load_text(text)
+        assert_same_as_row_by_row(text)
+
+    def test_blank_lines_and_a_quoted_line_break_count_as_lines(self):
+        text = HEADER + 'p1,1,1,pos,1\n\n"p\n1",1,2,neg,2\n  \np1,one,1,pos,1\n'
+        with pytest.raises(MalformedRow, match="^line 7: row/col must be integers$"):
+            load_text(text)
+        assert_same_as_row_by_row(text)
+        assert_same_as_row_by_row(text, chunk_rows=1)
+
+    def test_what_int_and_float_accept(self):
+        text = HEADER + "p1,1_0,+3,pos,1\np1,\u0663,2,neg,2.5\n"
+        [plate] = load_text(text)
+        assert [(w.row, w.col) for w in plate.wells] == [(10, 3), (3, 2)]
+        assert_same_as_row_by_row(text)
+        with pytest.raises(NonFiniteValue, match="^line 2: well \\(1, 1\\) needs a finite"):
+            load_text(HEADER + "p1,1,1,pos,1e400\n")
+
+    def test_addresses_must_fit_in_int64(self):
+        [plate] = load_text(HEADER + f"p1,{2**63 - 1},1,pos,1\n")
+        assert plate.wells[0].row == 2**63 - 1
+        with pytest.raises(MalformedRow, match=f"^line 3: well address \\(1, {2**63}\\) "
+                                               "must be below 2\\*\\*63$"):
+            load_text(HEADER + f"p1,1,1,pos,1\np1,1,{2**63},pos,1\n")
+        with pytest.raises(MalformedRow, match="must be positive"):
+            load_text(HEADER + f"p1,{-2**70},1,pos,1\n")
+
+    def test_a_bad_row_is_reported_before_a_later_unreadable_one(self):
+        huge = 'p1,2,2,neg,"' + "1" * 200_000 + '"\n'
+        with pytest.raises(UnknownRole, match="^line 2: "):
+            load_text(HEADER + "p1,1,1,ctl,1\n" + huge)
+        with pytest.raises(MalformedRow, match="unreadable CSV"):
+            load_text(HEADER + "p1,1,1,pos,1\n" + huge)
+
+    def test_every_plate_is_checked(self):
+        text = HEADER + "p1,1,1,pos,1\np2,1,1,pos,nan\n"
+        with pytest.raises(NonFiniteValue, match="^line 3: "):
+            load_text(text)
+
+    def test_columns_in_file_order(self):
+        plate_a, plate_b = load_text(
+            HEADER + "a,2,1,neg,1\nb,1,1,pos,3\n\na,1,1,empty,\na,1,2,sample,4\n")
+        assert plate_a.row.tolist() == [2, 1, 1] and plate_a.col.tolist() == [1, 1, 2]
+        assert plate_a.line_no.tolist() == [2, 5, 6] and plate_b.line_no.tolist() == [3]
+        assert [ROLE.value for ROLE in (plate_module.ROLES[k] for k in plate_a.role)] == [
+            "neg", "empty", "sample"]
+        assert plate_a.value[[0, 2]].tolist() == [1.0, 4.0] and math.isnan(plate_a.value[1])

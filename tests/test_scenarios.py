@@ -37,6 +37,17 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match=f"'{key}' for scenario {name} must be {expected}"):
             resolve_config(name, {key: value})
 
+    @pytest.mark.parametrize("name, key, value, repeated", [
+        ("fig1", "sigmas", [1, 1], "1"),
+        ("fig1", "mu_diffs", [0, 1, 1.0], "1.0"),
+        ("fig4", "panel_c_sizes", [100, 10, 100], "100"),
+        ("fig6", "dists", ["lognormal", "lognormal"], "'lognormal'"),
+    ])
+    def test_repeated_grid_value_rejected(self, name, key, value, repeated):
+        with pytest.raises(ConfigError, match=f"^config key '{key}' for scenario {name} "
+                                              f"repeats {repeated};"):
+            resolve_config(name, {key: value})
+
     @pytest.mark.parametrize("key, value", [
         ("n", True), ("n", 10.0), ("shape", False), ("shape", "1"), ("shape", None),
         ("mu_diffs", [1, None]), ("mu_diffs", [True]), ("mu_diffs", {"a": 1}),
