@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -69,26 +68,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"assayqc {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bins", type=_positive_int, default=None,
-                        help="override the 1+log2(N) histogram bin rule")
-    common.add_argument("--out-dir", type=Path, default=Path("."),
-                        help="directory for emitted files")
-    common.add_argument("--format", choices=["json", "csv"], default="json",
-                        help="report format for stdout output")
+    # A subcommand gets only the flags it reads: --bins all four, --format and
+    # --out the report commands, --out-dir the commands that write files.
+    bins = argparse.ArgumentParser(add_help=False)
+    bins.add_argument("--bins", type=_positive_int, default=None,
+                      help="override the 1+log2(N) histogram bin rule")
+    report = argparse.ArgumentParser(add_help=False, parents=[bins])
+    report.add_argument("--format", choices=["json", "csv"], default="json",
+                        help="report format")
+    report.add_argument("--out", type=Path, default=None,
+                        help="write the report here instead of stdout")
+    files = argparse.ArgumentParser(add_help=False, parents=[bins])
+    files.add_argument("--out-dir", type=Path, default=Path("."),
+                       help="directory for emitted files")
 
-    p = sub.add_parser("metrics", parents=[common],
+    p = sub.add_parser("metrics", parents=[report],
                        help="metric report from a plate CSV or a group,value CSV")
     p.add_argument("input", type=Path)
-    p.add_argument("--out", type=Path, default=None, help="write report here instead of stdout")
 
-    p = sub.add_parser("simulate", parents=[common], help="run a named simulation scenario")
+    p = sub.add_parser("simulate", parents=[files], help="run a named simulation scenario")
     p.add_argument("scenario", choices=SCENARIO_NAMES)
     p.add_argument("--seed", type=_u64, required=True, help="master seed (required)")
     p.add_argument("--config", type=Path, default=None,
                    help="JSON config file (or a previous manifest.json) overriding defaults")
 
-    p = sub.add_parser("hits", parents=[common], help="hit selection on plate controls")
+    p = sub.add_parser("hits", parents=[report], help="hit selection on plate controls")
     p.add_argument("train", type=Path, help="plate CSV providing the controls")
     p.add_argument("--test", type=Path, default=None,
                    help="replicate plate CSV for threshold evaluation")
@@ -100,9 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-transform", action="store_true",
                    help="analyze log-transformed readouts")
     p.add_argument("--plate-id", default=None, help="select one plate from multi-plate files")
-    p.add_argument("--out", type=Path, default=None)
 
-    p = sub.add_parser("calibrate", parents=[common],
+    p = sub.add_parser("calibrate", parents=[files],
                        help="null lower-bound calibration table for GSSMD")
     p.add_argument("--seed", type=_u64, required=True)
     p.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_CALIBRATION_SIZES))
@@ -179,18 +182,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _select_plate(path: Path, plate_id: str | None) -> Plate:
+def _load_plate(path: Path, plate_id: str | None, log_transform: bool) -> Plate:
+    """The file's first plate, or the one named ``plate_id``; with ``--log-transform``,
+    the natural log of every well value, all of which must be > 0."""
     plates = load_plate_csv(path)
-    if plate_id is None:
-        return plates[0]
-    for plate in plates:
-        if plate.plate_id == plate_id:
-            return plate
-    raise DataValidationError(f"{path}: no plate with id {plate_id!r}")
-
-
-def _log_plate(plate: Plate) -> Plate:
-    """``--log-transform``: the natural log of every well value, all of which must be > 0."""
+    plate = next((p for p in plates if plate_id in (None, p.plate_id)), None)
+    if plate is None:
+        raise DataValidationError(f"{path}: no plate with id {plate_id!r}")
+    if not log_transform:
+        return plate
     non_positive = ~plate.is_role(WellRole.EMPTY) & ~(plate.value > 0)
     if non_positive.any():
         w = plate.wells[int(np.argmax(non_positive))]
@@ -211,9 +211,7 @@ def _cmd_hits(args) -> int:
     }[rule_kind]
     rule = ThresholdRule(rule_kind, parameter)
 
-    plate = _select_plate(args.train, args.plate_id)
-    if args.log_transform:
-        plate = _log_plate(plate)
+    plate = _load_plate(args.train, args.plate_id, args.log_transform)
     forced = None if args.direction == "auto" else Direction(args.direction)
     report: HitReport = select_hits(plate, rule, bins=args.bins, direction=forced)
     if forced is not None and report.direction is not forced:
@@ -226,9 +224,7 @@ def _cmd_hits(args) -> int:
     payload = {"plate_id": plate.plate_id, **report.to_dict()}
 
     if args.test is not None:
-        test_plate = _select_plate(args.test, args.plate_id)
-        if args.log_transform:
-            test_plate = _log_plate(test_plate)
+        test_plate = _load_plate(args.test, args.plate_id, args.log_transform)
         test_neg, test_pos = test_plate.control_sets()
         evaluation = evaluate_threshold(
             test_neg, test_pos, report.threshold, report.direction
@@ -272,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _COMMANDS[args.subcommand](args)
-    except (DataValidationError, OSError, json.JSONDecodeError) as exc:
+    except (DataValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ArithmeticError) as exc:

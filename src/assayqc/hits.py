@@ -43,6 +43,12 @@ class Direction(str, Enum):
             return Direction.POSITIVE_IS_LOWER
         return Direction.POSITIVE_IS_HIGHER
 
+    def beyond(self, values: np.ndarray, threshold: float) -> np.ndarray:
+        """Mask of the values strictly past ``threshold`` in this direction (NaN never is)."""
+        if self is Direction.POSITIVE_IS_HIGHER:
+            return values > threshold
+        return values < threshold
+
 
 class RuleKind(str, Enum):
     GSSMD_OVERLAP = "gssmd"
@@ -125,11 +131,8 @@ def gssmd_threshold(
 
     neg_lo, neg_hi = float(neg.values.min()), float(neg.values.max())
     pos_lo, pos_hi = float(pos.values.min()), float(pos.values.max())
-    if neg_hi < pos_lo:
-        t = 0.5 * (neg_hi + pos_lo)
-        return GssmdThreshold(t, direction, meets, g, pair.bin_width)
-    if pos_hi < neg_lo:
-        t = 0.5 * (pos_hi + neg_lo)
+    if neg_hi < pos_lo or pos_hi < neg_lo:
+        t = 0.5 * (min(neg_hi, pos_hi) + max(neg_lo, pos_lo))
         return GssmdThreshold(t, direction, meets, g, pair.bin_width)
 
     mass_neg, mass_pos = pair.mass_neg, pair.mass_pos
@@ -145,14 +148,19 @@ def gssmd_threshold(
     return GssmdThreshold(float(threshold), direction, meets, g, pair.bin_width)
 
 
-def sigma_rule_threshold(neg: SampleSet, k: float, direction: Direction) -> float:
-    """Negative-control mean shifted k standard deviations toward the hits."""
+def _shifted_mean(neg: SampleSet, c: float, direction: Direction, rule: str) -> float:
+    """Negative-control mean shifted c standard deviations toward the hits."""
     stats = summarize(neg)
     if stats.std_dev == 0:
-        raise DegenerateVariance("sigma rule needs a positive control spread")
+        raise DegenerateVariance(f"{rule} rule needs a positive control spread")
     if direction is Direction.POSITIVE_IS_LOWER:
-        return stats.mean - k * stats.std_dev
-    return stats.mean + k * stats.std_dev
+        return stats.mean - c * stats.std_dev
+    return stats.mean + c * stats.std_dev
+
+
+def sigma_rule_threshold(neg: SampleSet, k: float, direction: Direction) -> float:
+    """Negative-control mean shifted k standard deviations toward the hits."""
+    return _shifted_mean(neg, k, direction, "sigma")
 
 
 def ssmd_rule_threshold(neg: SampleSet, beta: float, direction: Direction) -> float:
@@ -162,13 +170,7 @@ def ssmd_rule_threshold(neg: SampleSet, beta: float, direction: Direction) -> fl
     SSMD = (t - mean) / (sigma * sqrt(2)) under the pooled-variance form
     with the sample treated as zero-variance, so t = mean +/- beta*sqrt(2)*sigma.
     """
-    stats = summarize(neg)
-    if stats.std_dev == 0:
-        raise DegenerateVariance("ssmd rule needs a positive control spread")
-    offset = beta * math.sqrt(2.0) * stats.std_dev
-    if direction is Direction.POSITIVE_IS_LOWER:
-        return stats.mean - offset
-    return stats.mean + offset
+    return _shifted_mean(neg, beta * math.sqrt(2.0), direction, "ssmd")
 
 
 @dataclass(frozen=True)
@@ -258,12 +260,8 @@ def evaluate_threshold(
     A value strictly beyond the threshold in the hit direction is
     classified positive; ties count as negative.
     """
-    if direction is Direction.POSITIVE_IS_HIGHER:
-        pos_hits = test_pos.values > threshold
-        neg_hits = test_neg.values > threshold
-    else:
-        pos_hits = test_pos.values < threshold
-        neg_hits = test_neg.values < threshold
+    pos_hits = direction.beyond(test_pos.values, threshold)
+    neg_hits = direction.beyond(test_neg.values, threshold)
     n = len(test_neg) + len(test_pos)
     correct = int(pos_hits.sum()) + int((~neg_hits).sum())
     return ThresholdEvaluation(correct / n, float(neg_hits.mean()))
@@ -337,10 +335,7 @@ def select_hits(
     quality = assay_quality(plate, bins)
     neg, pos = plate.control_sets()
     threshold, direction = compute_threshold(neg, pos, rule, bins, direction)
-    if direction is Direction.POSITIVE_IS_HIGHER:
-        beyond = plate.value > threshold
-    else:
-        beyond = plate.value < threshold
+    beyond = direction.beyond(plate.value, threshold)
     hits = plate.addresses(plate.is_role(WellRole.SAMPLE) & beyond)
     return HitReport(
         threshold=float(threshold),

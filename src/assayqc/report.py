@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __version__ = "0.1.0"
 
 #: Conventional acceptance levels: Z' >= 0.5, |SSMD| >= 3, |GSSMD| >= 0.95.
 ACCEPTANCE_THRESHOLDS = {"z_factor": 0.5, "ssmd": 3.0, "gssmd": 0.95}
-
-_METRIC_FIELDS = ("snr", "sbr", "z_factor", "ssmd", "cnr", "ovl", "gcnr", "gssmd")
 
 
 def round12(x: float) -> float:
@@ -76,25 +74,16 @@ class MetricReport:
     accepted: dict[str, bool] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in _METRIC_FIELDS}
-        d.update(n_neg=self.n_neg, n_pos=self.n_pos, bins=self.bins)
-        d["thresholds"] = dict(self.thresholds)
-        d["accepted"] = dict(self.accepted)
-        return d
+        return asdict(self)
 
     def to_json(self) -> str:
         return json_dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricReport":
-        return cls(
-            **{name: d[name] for name in _METRIC_FIELDS},
-            n_neg=d["n_neg"],
-            n_pos=d["n_pos"],
-            bins=d["bins"],
-            thresholds=dict(d["thresholds"]),
-            accepted=dict(d["accepted"]),
-        )
+        """The report of a ``to_dict`` mapping; other keys are ignored, dict values copied."""
+        values = {f.name: d[f.name] for f in fields(cls)}
+        return cls(**{k: dict(v) if isinstance(v, dict) else v for k, v in values.items()})
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":
@@ -148,28 +137,23 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunManifest:
-    """Everything needed to reproduce a CLI run's outputs bit-exactly."""
+    """Everything needed to reproduce a CLI run's outputs bit-exactly.
 
-    subcommand: str
-    config: dict
-    seed: int | None
-    outputs: dict[str, str] = field(default_factory=dict)  # filename -> sha256
+    The fields are in the manifest's JSON key order.
+    """
+
     tool: str = "assayqc"
     version: str = __version__
+    subcommand: str
+    seed: int | None
+    config: dict
+    outputs: dict[str, str] = field(default_factory=dict)  # filename -> sha256
     timestamp: str = field(default_factory=_timestamp)
 
     def to_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "config": self.config,
-            "outputs": self.outputs,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json_dumps(self.to_dict())

@@ -148,11 +148,11 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
 
 
 def load_config_file(path) -> dict:
-    """Read a scenario config from JSON; accepts a run manifest as well."""
+    """Read a scenario config from UTF-8 JSON, BOM optional; accepts a run manifest as well."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text must be UTF-8
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")

@@ -493,6 +493,8 @@ def calibrate_null(
         raise ConfigError("calibration needs at least one sample size")
     if any(s < 1 for s in sizes):
         raise ConfigError("calibration sizes must be >= 1")
+    if len(set(sizes)) < len(sizes):
+        raise ConfigError(f"calibration sizes {list(sizes)} repeat a size; each must appear once")
     if trials < 100:
         raise ConfigError("calibration needs at least 100 trials")
 

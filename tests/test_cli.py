@@ -146,6 +146,24 @@ class TestSimulateCommand:
             main(["simulate", "fig1", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_config_with_byte_order_mark_is_read(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(json.dumps({"trials": 1, "n": 20}).encode("utf-8-sig"))
+        assert main(["simulate", "fig1", "--seed", "3", "--out-dir", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["n"] == 20
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"n": "\xe9"}')
+        assert main(["simulate", "fig1", "--seed", "3", "--out-dir", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: invalid JSON ('utf-8' codec can't")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "fig9", "--seed", "1", "--out-dir", str(tmp_path)])
@@ -457,6 +475,15 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--seed", "4", "--sizes", "10",
                      "--trials", "10", "--out-dir", str(tmp_path)]) == 2
 
+    def test_repeated_size_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["calibrate", "--seed", "1", "--sizes", "10", "100", "10",
+                     "--trials", "100", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: calibration sizes [10, 100, 10] repeat a size; "
+                       "each must appear once\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, config", [
     (["calibrate", "--sizes", "10", "--trials", "100", "--location", "nan"], None),
@@ -473,3 +500,19 @@ def test_nan_location_exits_2(tmp_path, capsys, command, config):
     err = capsys.readouterr().err
     assert err == "error: distribution location must not be NaN\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "{tmp}/in.csv", "--out-dir", "{tmp}/x"],
+    ["hits", "{tmp}/in.csv", "--out-dir", "{tmp}/x"],
+    ["simulate", "fig1", "--seed", "1", "--out-dir", "{tmp}/x", "--format", "csv"],
+    ["calibrate", "--seed", "1", "--sizes", "10", "--trials", "100", "--out-dir", "{tmp}/x",
+     "--format", "json"],
+], ids=["metrics-out-dir", "hits-out-dir", "simulate-format", "calibrate-format"])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, argv):
+    """Each subcommand accepts only options it reads: --format/--out for the report
+    commands, --out-dir for the commands that write files."""
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()

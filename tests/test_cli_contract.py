@@ -2,7 +2,8 @@
 
 For any small plate or group CSV file, and for any scenario config value
 whose JSON type differs from its default's (or that is an empty list, or a
-list of sample sizes that are not all integers), ``main`` returns 0, 2 or 3,
+list of sample sizes that are not all integers; the config file written as
+UTF-8, UTF-8 with a byte-order mark or latin-1), ``main`` returns 0, 2 or 3,
 writes one stderr line on failure and none on success, emits no warning
 and never raises.
 """
@@ -119,4 +120,31 @@ def test_wrong_typed_config_value_exits_2_before_any_trial(data):
                              "--config", str(cfg)])
         assert code == 2, (scenario, key, value, err)
         assert len(err) == 1 and err[0].startswith(f"error: config key '{key}'"), err
+        assert not out.exists()
+
+
+@given(st.data())
+def test_config_file_encoding_is_utf8_with_optional_bom(data):
+    """A wrong-typed config written as UTF-8 with a byte-order mark, or as latin-1,
+    still exits 2 with one line: the config-key message when the bytes are UTF-8
+    (the mark is skipped), a config-file message when they are not."""
+    scenario = data.draw(st.sampled_from(SCENARIO_NAMES))
+    defaults = default_config(scenario)
+    key = data.draw(st.sampled_from(sorted(defaults)))
+    value = data.draw((st.just([]) | _json_values).filter(
+        lambda v: not has_default_type(defaults[key], v, key)))
+    encoding = data.draw(st.sampled_from(["utf-8-sig", "latin-1"]))
+    raw = json.dumps({key: value}, ensure_ascii=False).encode(encoding, errors="replace")
+    try:
+        raw.decode("utf-8-sig")
+        expected = f"error: config key '{key}'"
+    except UnicodeDecodeError:
+        expected = "error: config file "
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_bytes(raw)
+        code, err = run_cli(["simulate", scenario, "--seed", "1", "--out-dir", str(out),
+                             "--config", str(cfg)])
+        assert code == 2, (scenario, key, value, encoding, err)
+        assert len(err) == 1 and err[0].startswith(expected), err
         assert not out.exists()

@@ -354,6 +354,11 @@ class TestCalibrateNull:
         with pytest.raises(ConfigError):
             calibrate_null([10], 50, NORMAL, 1)
 
+    def test_repeated_size_rejected(self):
+        # A repeated size would write a second, differently seeded row for it.
+        with pytest.raises(ConfigError, match=r"^calibration sizes \[10, 100, 10\] repeat a size"):
+            calibrate_null([10, 100, 10], 100, NORMAL, 1)
+
 
 class TestCalibrateNullChunks:
     """calibrate_null scores trials in chunks of rows; chunk edges must not show."""
