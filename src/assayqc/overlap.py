@@ -172,18 +172,22 @@ def gssmd(neg: SampleSet, pos: SampleSet, bins: int | None = None) -> OverlapRes
     return _gssmd_from_arrays(neg.values, pos.values, bins)
 
 
-def _gssmd_rows(neg: np.ndarray, pos: np.ndarray, bins: int | None = None) -> np.ndarray:
+def _gssmd_rows(
+    neg: np.ndarray, pos: np.ndarray, bins: int | None = None, ovl: np.ndarray | None = None
+) -> np.ndarray:
     """Signed GSSMD of every row pair of a (T, m) and a (T, n) matrix.
 
     Row ``t`` equals ``_gssmd_from_arrays(neg[t], pos[t], bins).gssmd`` bit
-    for bit. Each row pair is binned onto ``linspace`` edges over its pooled
-    range with ``numpy.histogram``'s rule for equal-width bins: a first-guess
-    index from the scaled offset, then one step down where the value lies
-    below its bin's left edge and one step up where it reaches the next edge
-    (except in the last, right-closed bin). One ``bincount`` counts every
-    row. That single correction step is exact while the edges' rounding
-    error stays below a bin width; rows whose range is too narrow for that
-    (a few ulps per bin), or not finite, go through the per-pair kernel.
+    for bit; given ``ovl``, an array of T values, row ``t`` of it receives
+    that result's ``.ovl``. Each row pair is binned onto ``linspace`` edges
+    over its pooled range with ``numpy.histogram``'s rule for equal-width
+    bins: a first-guess index from the scaled offset, then one step down
+    where the value lies below its bin's left edge and one step up where it
+    reaches the next edge (except in the last, right-closed bin). One
+    ``bincount`` counts every row. That single correction step is exact
+    while the edges' rounding error stays below a bin width; rows whose
+    range is too narrow for that (a few ulps per bin), or not finite, go
+    through the per-pair kernel.
     """
     rows, m = neg.shape
     n = pos.shape[1]
@@ -197,7 +201,8 @@ def _gssmd_rows(neg: np.ndarray, pos: np.ndarray, bins: int | None = None) -> np
     binnable = (np.isfinite(span) & (span >= 4 * k * np.spacing(magnitude))
                 & (span >= k * np.finfo(np.float64).tiny))
     per_pair = np.flatnonzero(~binnable & (span != 0))
-    ovl_rows = np.ones(rows)  # all pooled values equal: complete overlap
+    ovl_rows = np.empty(rows) if ovl is None else ovl
+    ovl_rows[:] = 1.0  # all pooled values equal: complete overlap
     if binnable.any():
         x, lo, hi, span = (a if binnable.all() else a[binnable]
                            for a in (pooled, lo, hi, span))
@@ -225,5 +230,6 @@ def _gssmd_rows(neg: np.ndarray, pos: np.ndarray, bins: int | None = None) -> np
     sign = np.sign(pooled[:, m:].mean(axis=1) - pooled[:, :m].mean(axis=1)) + 0.0
     signed = sign * (1.0 - ovl_rows)
     for r in per_pair:
-        signed[r] = _gssmd_from_arrays(neg[r], pos[r], bins).gssmd
+        pair = _gssmd_from_arrays(neg[r], pos[r], bins)
+        signed[r], ovl_rows[r] = pair.gssmd, pair.ovl
     return signed

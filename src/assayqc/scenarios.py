@@ -24,6 +24,7 @@ from .simulation import (
     GridPoint,
     ScenarioConfig,
     ScenarioResult,
+    _check_subsample,
     _run_grid,
     add_awgn,
     calibrate_null,
@@ -263,8 +264,8 @@ def _run_fig3(cfg: dict, seed: int, bins: int | None):
     }
 
 
-def _noise_sweep(cfg: dict, n: int, seed: int, bins: int | None) -> ScenarioResult:
-    sweep = ScenarioConfig(
+def _noise_config(cfg: dict, n: int, seed: int, bins: int | None) -> ScenarioConfig:
+    return ScenarioConfig(
         neg=DistributionSpec.normal(0.0, 1.0),
         mu_diffs=tuple(cfg["mu_diffs"]),
         n=n,
@@ -273,12 +274,11 @@ def _noise_sweep(cfg: dict, n: int, seed: int, bins: int | None) -> ScenarioResu
         snr_db=tuple(cfg["snr_db"]),
         bins=bins,
     )
-    return run_noise_sweep(sweep)
 
 
 def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     base_cols = ["scenario", "mu_diff", "snr_db", "metric", "aggregate", "value"]
-    result = _noise_sweep(cfg, cfg["n"], _panel_seed(seed, 0), bins)
+    result = run_noise_sweep(_noise_config(cfg, cfg["n"], _panel_seed(seed, 0), bins))
     files = {
         f"{name}_panelA.csv": (base_cols, _result_rows(name, result.points)),
         f"{name}_panelB.csv": (
@@ -288,7 +288,7 @@ def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     }
     rows_c = []
     for k, size in enumerate(cfg["panel_c_sizes"]):
-        res_k = _noise_sweep(cfg, int(size), _panel_seed(seed, 1, k), bins)
+        res_k = run_noise_sweep(_noise_config(cfg, int(size), _panel_seed(seed, 1, k), bins))
         rows_c.extend(_result_rows(name, res_k.points, {"n": int(size)}))
     files[f"{name}_panelC.csv"] = (
         ["scenario", "n", "mu_diff", "snr_db", "metric", "aggregate", "value"],
@@ -297,28 +297,34 @@ def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     return files
 
 
-def _run_fig5(cfg: dict, seed: int, bins: int | None):
-    files = _run_noise_figure("fig5", cfg, seed, bins)
+def _subsample_panel(cfg: dict, seed: int, bins: int | None) -> list[GridPoint]:
+    """fig5 panel D: repeated small subsamples vs the direct full-group estimate."""
+    size, repeats, n = cfg["subsample_size"], cfg["subsample_repeats"], cfg["n"]
+    names = ("gssmd_subsampled", "ssmd_subsampled", "gssmd_full", "ssmd_full")
 
-    # Panel D: repeated small subsamples vs the direct full-group estimate.
-    size, repeats = cfg["subsample_size"], cfg["subsample_repeats"]
-
-    def trial(d, snr, seeds):
-        base = draw(DistributionSpec.normal(0.0, 1.0), cfg["n"], seeds(0))
-        neg = add_awgn(base, snr, seeds(1))
-        pos = add_awgn(SampleSet(base.values + d), snr, seeds(2))
-        sub = run_subsampled_estimate(neg, pos, size, repeats, seeds(3), bins)
-        full = run_subsampled_estimate(neg, pos, cfg["n"], 1, seeds(4), bins)
-        return {"gssmd_subsampled": sub.mean_gssmd, "ssmd_subsampled": sub.mean_ssmd,
-                "gssmd_full": full.mean_gssmd, "ssmd_full": full.mean_ssmd}
+    def trial(d, snr, rngs):
+        base = draw(DistributionSpec.normal(0.0, 1.0), n, rngs[0])
+        neg = add_awgn(base, snr, rngs[1])
+        pos = add_awgn(SampleSet(base.values + d), snr, rngs[2])
+        sub = run_subsampled_estimate(neg, pos, size, repeats, rngs[3], bins)
+        full = run_subsampled_estimate(neg, pos, n, 1, rngs[4], bins)
+        return (np.array([*sub, *full]),)
 
     axes = {"mu_diff": cfg["mu_diffs"], "snr_db": cfg["snr_db"]}
-    points = _run_grid(_panel_seed(seed, 2), axes, cfg["trials"], trial)
-    rows = _result_rows("fig5", points, {"subsample_size": size, "repeats": repeats})
+    return _run_grid(seed, axes, cfg["trials"], 5, trial, lambda block: dict(zip(names, block.T)))
+
+
+def _run_fig5(cfg: dict, seed: int, bins: int | None):
+    # Panel D's subsample checks come before any trial, after panel A's config checks.
+    _noise_config(cfg, cfg["n"], seed, bins)
+    _check_subsample(cfg["subsample_size"], cfg["subsample_repeats"], cfg["n"])
+    files = _run_noise_figure("fig5", cfg, seed, bins)
+    points = _subsample_panel(cfg, _panel_seed(seed, 2), bins)
+    extra = {"subsample_size": cfg["subsample_size"], "repeats": cfg["subsample_repeats"]}
     files["fig5_panelD.csv"] = (
         ["scenario", "mu_diff", "snr_db", "subsample_size", "repeats",
          "metric", "aggregate", "value"],
-        rows,
+        _result_rows("fig5", points, extra),
     )
     return files
 

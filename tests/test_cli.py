@@ -337,6 +337,39 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "non-finite" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("config, message", [
+        ({"subsample_size": 1000}, "error: subsample size 1000 not in [1, 100]\n"),
+        ({"subsample_repeats": 0}, "error: repeats must be >= 1\n"),
+    ])
+    def test_fig5_subsample_config_fails_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                          config, message):
+        from assayqc import scenarios
+
+        def no_trials(*args):
+            raise AssertionError("a sweep ran before panel D's config was checked")
+        monkeypatch.setattr(scenarios, "run_noise_sweep", no_trials)  # panels A-C
+        monkeypatch.setattr(scenarios, "_run_grid", no_trials)  # panel D
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "fig5", "--seed", "1", "--out-dir", str(out),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["fig4", "fig5"])
+    @pytest.mark.parametrize("snr", [1e6, -1e6])
+    def test_out_of_range_snr_names_the_key_and_exits_3(self, tmp_path, capsys, scenario, snr):
+        cfg = tmp_path / "cfg.json"
+        config = {"snr_db": [snr], "trials": 1, "n": 20, "panel_c_sizes": [10]}
+        if scenario == "fig5":
+            config["subsample_size"] = 5
+        cfg.write_text(json.dumps(config))
+        assert main(["simulate", scenario, "--seed", "1", "--out-dir", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (f"numeric error: snr_db {snr!r} is out of range: "
+                                           "10^(snr_db/10) is not a positive finite float\n")
+
     def test_manifest_hashes_match_outputs(self, tmp_path):
         import hashlib
         cfg = tmp_path / "cfg.json"

@@ -71,3 +71,40 @@ def test_outputs_match_recorded_sha256(tmp_path, monkeypatch):
     actual = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
               for path in sorted(out.rglob("*")) if path.is_file()}
     assert actual == GOLDEN
+
+
+# The benchmark's trial counts, at which a chunk holds many rows of one grid
+# point; recorded with the per-trial path before trials were scored as rows.
+GOLDEN_BENCH_TRIALS = {
+    "fig1/fig1_sigma1.csv": "b6df60cc504bf1d5d4a5c0852d49c5cd383291debb275e09aa0bf57a5391bf9b",
+    "fig1/fig1_sigma3.csv": "b53b31c91e9276841ee0a4e92488da51b11f705b7e22cceb1eed26f81748f286",
+    "fig1/fig1_sigma5.csv": "300e85c330fee67917205b337e0533d99d2d9dc1a31568c63d26fbaecb24d560",
+    "fig1/manifest.json": "1eada67fb055f19b4518eceeafbaa6978da0a821ef5105aa77491298cd595a51",
+    "fig2/fig2_lognormal.csv": "29b595aab6de507ba9f61d71a66fbbc9896468ea7d128524b76b2e058b8d0b7a",
+    "fig2/manifest.json": "337cbf1ffed956023fb3d8ac973c1353bb2dc334cc996e86619f5a16344225ae",
+    "fig3/fig3_outliers.csv": "ed01f2fd71a10a17b9a471ed99874f38616b7f91da543545bae925324bfefb32",
+    "fig3/manifest.json": "2ab958b8b2242d8ce4dbf09e1290a65e3ff73adbb51bedbbc557d94080a9fb3a",
+    "fig5/fig5_panelA.csv": "f1710a30ae4a284e3bc4ee024d3fcedf004038d5606606cae6925da10c561e6b",
+    "fig5/fig5_panelB.csv": "67eaade839e7234daa56eab1e75d5fe21cddb95c42271c13b88f90e155ddd158",
+    "fig5/fig5_panelC.csv": "813869bdb98c811c37e3301c9019f8879f6de31d32a890dfad2d045185a3175a",
+    "fig5/fig5_panelD.csv": "8edce59a7949256f12921c92fe58e0028ea3e337d086ab29339282aee5fc4338",
+    "fig5/manifest.json": "14a483609b7f968da4e57b50dc3c88eca7ee8ac3f157c09b9550e044aef72c13",
+}
+
+
+def test_bench_trial_counts_match_recorded_sha256(tmp_path, monkeypatch):
+    numpy_minor = ".".join(np.__version__.split(".")[:2])
+    if numpy_minor != RECORDED_NUMPY:
+        pytest.skip(f"hashes recorded with numpy {RECORDED_NUMPY}, running {numpy_minor}")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    configs = {"fig1": {"trials": 30}, "fig2": {"trials": 120}, "fig3": {"trials": 10},
+               "fig5": {"trials": 1}}
+    for name, config in configs.items():
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["simulate", name, "--seed", "11", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out" / name)]) == 0
+    out = tmp_path / "out"
+    actual = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in sorted(out.rglob("*")) if path.is_file()}
+    assert actual == GOLDEN_BENCH_TRIALS

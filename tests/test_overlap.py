@@ -317,3 +317,22 @@ class TestGssmdRows:
         pos = data.draw(hnp.arrays(np.float64, (rows, n), elements=values))
         bins = data.draw(st.none() | st.integers(1, 8))
         assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
+
+
+class TestGssmdRowsOvl:
+    """The row kernel's per-row OVL, written into ``ovl``, against the per-pair kernel."""
+
+    @given(st.data())
+    def test_matches_per_pair_ovl(self, data):
+        rows = data.draw(st.integers(1, 6))
+        m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        # Small integers tie on edges and give all-equal rows; the wide floats
+        # include rows too narrow for the row kernel.
+        values = st.integers(-3, 3).map(float) | st.floats(-1e150, 1e150)
+        neg = data.draw(hnp.arrays(np.float64, (rows, m), elements=values))
+        pos = data.draw(hnp.arrays(np.float64, (rows, n), elements=values))
+        bins = data.draw(st.none() | st.integers(1, 8))
+        ovl = np.full(rows, np.nan)
+        assert_same_bits(_gssmd_rows(neg, pos, bins, ovl), per_pair_rows(neg, pos, bins))
+        expected = np.array([_gssmd_from_arrays(a, b, bins).ovl for a, b in zip(neg, pos)])
+        assert_same_bits(ovl, expected)

@@ -1,10 +1,16 @@
+import itertools
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assayqc import (
     ConfigError,
+    DegenerateMeanDifference,
+    DegenerateVariance,
     DistributionSpec,
     GridPoint,
     InvalidSubsampleSize,
@@ -27,7 +33,7 @@ from assayqc import (
     summarize,
     z_factor,
 )
-from assayqc import simulation
+from assayqc import scenarios, simulation
 
 NORMAL = DistributionSpec.normal(0, 1)
 
@@ -440,3 +446,184 @@ class TestBatchedSeeding:
         with np.errstate(all="raise"):
             table = calibrate_null([3, 5000], 101, NORMAL, seed)
         assert table.rows == recomputed_null_rows([3, 5000], 101, NORMAL, seed)
+
+
+class TestRowMoments:
+    """Row moments of a C-ordered (T, n) block equal the 1-D moments of each row."""
+
+    # n across numpy's pairwise-summation edges: the 8-way unrolled block and 128.
+    @given(n=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 1000, 4096]),
+           rows=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           spread=st.integers(0, 150))
+    def test_mean_var_and_power_match_the_1d_path(self, n, rows, seed, spread):
+        rng = np.random.default_rng(seed)
+        # Magnitudes up to 1e150 mixed within a row, so the order of summation shows.
+        block = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-spread, spread, (rows, n))
+        with warnings.catch_warnings():  # var(ddof=1) of one value is NaN, with a warning
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = [block.mean(axis=1), block.var(axis=1, ddof=1), (block * block).mean(axis=1)]
+            want = [[row.mean() for row in block], [row.var(ddof=1) for row in block],
+                    [np.mean(row * row) for row in block]]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.int64), np.array(w).view(np.int64))
+
+
+def same_points(a, b):
+    """Equal bit for bit, NaN and the sign of zero included."""
+    return repr(a) == repr(b)
+
+
+def recomputed_subsample_points(cfg, seed, bins):
+    """fig5 panel D rebuilt trial by trial from derive_seed(seed, i, j, t, stream)."""
+    points = []
+    for i, d in enumerate(cfg["mu_diffs"]):
+        for j, snr in enumerate(cfg["snr_db"]):
+            trials = []
+            for t in range(cfg["trials"]):
+                key = (seed, i, j, t)
+                base = draw(NORMAL, cfg["n"], derive_seed(*key, 0))
+                neg = add_awgn(base, snr, derive_seed(*key, 1))
+                pos = add_awgn(SampleSet(base.values + d), snr, derive_seed(*key, 2))
+                sub = run_subsampled_estimate(neg, pos, cfg["subsample_size"],
+                                              cfg["subsample_repeats"], derive_seed(*key, 3), bins)
+                full = run_subsampled_estimate(neg, pos, cfg["n"], 1, derive_seed(*key, 4), bins)
+                trials.append({"gssmd_subsampled": sub.mean_gssmd,
+                               "ssmd_subsampled": sub.mean_ssmd,
+                               "gssmd_full": full.mean_gssmd, "ssmd_full": full.mean_ssmd})
+            points.append(_point({"mu_diff": float(d), "snr_db": float(snr)}, trials))
+    return points
+
+
+def outcome(run, *args):
+    """A run's points, or the class of what it raised."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            return repr(run(*args))
+        except Exception as exc:  # the class is what must agree
+            return type(exc)
+
+
+locations = st.floats(-10, 10) | st.floats(-1e150, 1e150)
+scales = st.floats(0.01, 10) | st.floats(1e-300, 1e150)
+grid = st.lists(st.floats(-30, 30) | st.floats(-1e150, 1e150), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def sweep_configs(draw, **grids):
+    kind = draw(st.sampled_from(["normal", "lognormal"]))
+    # A lognormal draw overflows from a log-scale location of about 710.
+    location = draw(locations if kind == "normal" else st.floats(-50, 750))
+    scale = draw(scales if kind == "normal" else st.floats(0.01, 3) | scales)
+    return ScenarioConfig(
+        neg=DistributionSpec(kind, location, scale),
+        n=draw(st.integers(2, 60)), seed=draw(st.integers(0, 2 ** 64 - 1)),
+        trials=draw(st.integers(1, 12)), bins=draw(st.none() | st.integers(1, 5)),
+        **{name: tuple(draw(strategy)) for name, strategy in grids.items()})
+
+
+snr_grid = st.lists(st.floats(-80, 80) | st.sampled_from([-1e6, 1e6]), min_size=1,
+                    max_size=3, unique=True)
+
+
+class TestBatchedSweeps:
+    """Trials scored as rows, with batched seeds, against the trial-by-trial recomputation."""
+
+    @given(cfg=sweep_configs(mu_diffs=grid), chunk=st.sampled_from([64, 2 ** 14]))
+    def test_mean_difference_sweep(self, cfg, chunk):
+        with mock.patch.object(simulation, "_CALIBRATION_CHUNK_VALUES", chunk):
+            got = outcome(lambda: run_mean_difference_sweep(cfg).points)
+        assert got == outcome(recomputed_sweep_points, cfg)
+
+    @given(cfg=sweep_configs(outlier_fractions=st.lists(st.floats(0, 1), min_size=1, max_size=3,
+                                                        unique=True),
+                             outlier_means=st.lists(st.floats(-30, 30) | st.just(np.inf)
+                                                    | st.floats(-1e150, 1e150),
+                                                    min_size=1, max_size=3, unique=True)),
+           chunk=st.sampled_from([64, 2 ** 14]))
+    def test_outlier_sweep(self, cfg, chunk):
+        with mock.patch.object(simulation, "_CALIBRATION_CHUNK_VALUES", chunk):
+            got = outcome(lambda: run_outlier_sweep(cfg).points)
+        assert got == outcome(recomputed_outlier_points, cfg)
+
+    @given(cfg=sweep_configs(mu_diffs=grid, snr_db=snr_grid), chunk=st.sampled_from([64, 2 ** 14]))
+    def test_noise_sweep(self, cfg, chunk):
+        with mock.patch.object(simulation, "_CALIBRATION_CHUNK_VALUES", chunk):
+            got = outcome(lambda: run_noise_sweep(cfg).points)
+        assert got == outcome(recomputed_noise_points, cfg)
+
+    @settings(max_examples=40)
+    @given(n=st.integers(2, 60), trials=st.integers(1, 12), mu_diffs=grid, snr_db=snr_grid,
+           size=st.integers(1, 60), repeats=st.integers(1, 4), seed=st.integers(0, 2 ** 64 - 1),
+           bins=st.none() | st.integers(1, 5))
+    def test_subsample_panel(self, n, trials, mu_diffs, snr_db, size, repeats, seed, bins):
+        cfg = {"n": n, "trials": trials, "mu_diffs": mu_diffs, "snr_db": snr_db,
+               "subsample_size": min(size, n), "subsample_repeats": repeats}
+        assert (outcome(scenarios._subsample_panel, cfg, seed, bins)
+                == outcome(recomputed_subsample_points, cfg, seed, bins))
+
+    def test_outcomes_include_points_and_every_error_class(self):
+        # The property tests above compare both; these configs pin that each kind occurs.
+        degenerate = DistributionSpec.normal(1e150, 1e-10)  # every value is 1e150
+        cases = {
+            DegenerateMeanDifference: ScenarioConfig(neg=degenerate, mu_diffs=(0.0,), n=4),
+            DegenerateVariance: ScenarioConfig(neg=degenerate, mu_diffs=(1e140,), n=4),
+            FloatingPointError: ScenarioConfig(neg=DistributionSpec.lognormal(750, 1),
+                                               mu_diffs=(0.0,), n=4),
+        }
+        for error, cfg in cases.items():
+            assert outcome(lambda: run_mean_difference_sweep(cfg).points) is error
+            assert outcome(recomputed_sweep_points, cfg) is error
+        cfg = ScenarioConfig(neg=DistributionSpec.normal(0, 1e-300), mu_diffs=(1.0,), n=4,
+                             snr_db=(10.0,))
+        assert outcome(lambda: run_noise_sweep(cfg).points) is ZeroPowerSignal
+
+    def test_first_failing_row_raises_although_a_later_row_fails_first_in_bulk(self):
+        # Point 0: equal means (no z_factor). Point 1, same chunk: its moments
+        # overflow, which a bulk pass over the chunk would meet first.
+        cfg = ScenarioConfig(neg=DistributionSpec.normal(1e150, 1e-10),
+                             mu_diffs=(0.0, 1e308), n=4, trials=3)
+        assert outcome(recomputed_sweep_points, cfg) is DegenerateMeanDifference
+        assert outcome(lambda: run_mean_difference_sweep(cfg).points) is DegenerateMeanDifference
+
+    def test_rows_before_a_failing_draw_are_scored_first(self):
+        # Point 0: exp(700) in every row, equal means. Point 1: exp(800) overflows in the draw.
+        cfg = ScenarioConfig(neg=DistributionSpec.lognormal(700, 1e-20),
+                             mu_diffs=(0.0, 100.0), n=4, trials=3)
+        assert outcome(recomputed_sweep_points, cfg) is DegenerateMeanDifference
+        assert outcome(lambda: run_mean_difference_sweep(cfg).points) is DegenerateMeanDifference
+
+    def test_forced_fallback_gives_the_same_points(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("batched states used after a failed check")
+        monkeypatch.setattr(simulation, "_batched_seeding_agrees", lambda: False)
+        monkeypatch.setattr(simulation, "_pcg64_states", unused)
+        cfg = ScenarioConfig(neg=NORMAL, n=40, seed=2 ** 64 - 1, trials=3, bins=4,
+                             outlier_fractions=(0.0, 0.5), outlier_means=(5.0, 20.0))
+        assert same_points(run_outlier_sweep(cfg).points, recomputed_outlier_points(cfg))
+        cfg = ScenarioConfig(neg=NORMAL, mu_diffs=(0.0, 2.0), n=30, seed=3, trials=2,
+                             snr_db=(0.0, 30.0))
+        assert same_points(run_noise_sweep(cfg).points, recomputed_noise_points(cfg))
+
+    def test_seed_block_and_chunk_edges_do_not_show(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_SEED_BLOCK", 5)
+        monkeypatch.setattr(simulation, "_CALIBRATION_CHUNK_VALUES", 7 * 2 * 50)
+        cfg = ScenarioConfig(neg=NORMAL, mu_diffs=(0.0, 1.0, 3.0), n=50, seed=9, trials=4)
+        assert same_points(run_mean_difference_sweep(cfg).points, recomputed_sweep_points(cfg))
+
+
+class TestGridSeedStates:
+    """_pcg64_states over a whole grid's keys, each word a column, against derive_seed."""
+
+    @given(master=st.integers(0, 2 ** 160 - 1),
+           key=st.lists(st.lists(st.integers(0, 5) | st.integers(2 ** 32 - 8, 2 ** 32 - 1),
+                                 min_size=1, max_size=3), min_size=3, max_size=4),
+           prefix=st.sampled_from([(), (7,), (2 ** 40,)]))
+    def test_states_match_derive_seed(self, master, key, prefix):
+        # One column a word: they broadcast to every combination of the words.
+        columns = [np.array(words, dtype=np.uint64).reshape((-1,) + (1,) * (len(key) - 1 - d))
+                   for d, words in enumerate(key)]
+        expected = []
+        for words in itertools.product(*key):
+            state = np.random.default_rng(derive_seed(master, *prefix, *words)).bit_generator.state
+            expected.append((state["state"]["state"], state["state"]["inc"]))
+        assert simulation._pcg64_states(master, prefix, *columns) == expected
