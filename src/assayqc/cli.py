@@ -193,10 +193,10 @@ def _load_plate(path: Path, plate_id: str | None, log_transform: bool) -> Plate:
         return plate
     non_positive = ~plate.is_role(WellRole.EMPTY) & ~(plate.value > 0)
     if non_positive.any():
-        w = plate.wells[int(np.argmax(non_positive))]
+        i = int(np.argmax(non_positive))
         raise NonPositiveValue(
-            f"plate {plate.plate_id}: well {w.address} has value {w.value:g}; "
-            "--log-transform needs every well value to be positive"
+            f"plate {plate.plate_id}: well R{plate.row[i]}C{plate.col[i]} has value "
+            f"{plate.value[i]:g}; --log-transform needs every well value to be positive"
         )
     return plate.transformed(np.log)
 

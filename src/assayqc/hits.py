@@ -38,11 +38,6 @@ class Direction(str, Enum):
     POSITIVE_IS_HIGHER = "higher"
     POSITIVE_IS_LOWER = "lower"
 
-    def flipped(self) -> "Direction":
-        if self is Direction.POSITIVE_IS_HIGHER:
-            return Direction.POSITIVE_IS_LOWER
-        return Direction.POSITIVE_IS_HIGHER
-
     def beyond(self, values: np.ndarray, threshold: float) -> np.ndarray:
         """Mask of the values strictly past ``threshold`` in this direction (NaN never is)."""
         if self is Direction.POSITIVE_IS_HIGHER:

@@ -11,25 +11,28 @@ of first appearance.
 A ``Plate`` stores its wells as arrays in file order. The loader reads a
 file in chunks of ``CHUNK_ROWS`` rows and checks each chunk with array
 operations, so every row of every plate is checked while memory stays
-bounded. The first failing row, in file order, is reported with the
-message of the per-row check in ``_parse_well``.
+bounded. ``_RULES`` states each well rule once: a mask over a chunk's
+columns and the message of a row that breaks it. The first failing row, in
+file order, is reported. ``Plate(plate_id, wells)`` runs the same check on
+its wells' CSV rows, so it raises the loader's errors without their
+``line N:`` prefix.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, DuplicateWell, MalformedRow, NonFiniteValue, UnknownRole
+from .errors import DuplicateWell, MalformedRow, NonFiniteValue, UnknownRole
 from .samples import SampleSet
 
 EXPECTED_HEADER = ["plate_id", "row", "col", "role", "value"]
@@ -51,28 +54,24 @@ _EMPTY = _ROLE_CODES[WellRole.EMPTY.value]
 
 @dataclass(frozen=True)
 class Well:
+    """One well; ``value`` is None for an empty well. A ``Plate`` checks its wells."""
+
     row: int
     col: int
     role: WellRole
     value: float | None = None
 
-    def __post_init__(self):
-        if self.row < 1 or self.col < 1:
-            raise MalformedRow(f"well address ({self.row}, {self.col}) must be positive")
-        if self.row >= _ADDRESS_LIMIT or self.col >= _ADDRESS_LIMIT:
-            raise MalformedRow(f"well address ({self.row}, {self.col}) must be below 2**63")
-        if self.role is WellRole.EMPTY:
-            if self.value is not None:
-                raise MalformedRow("empty wells carry no value")
-        else:
-            if self.value is None or not math.isfinite(self.value):
-                raise NonFiniteValue(
-                    f"well ({self.row}, {self.col}) needs a finite value"
-                )
-
     @property
     def address(self) -> str:
         return f"R{self.row}C{self.col}"
+
+
+def _csv_fields(plate_id: str, well: Well) -> list[str]:
+    """``well``'s row of a plate CSV. A missing value is an empty field on an
+    empty well and NaN on any other, as ``Plate.value`` stores it."""
+    missing = "" if well.role is WellRole.EMPTY else "nan"
+    value = missing if well.value is None else str(well.value)
+    return [plate_id, str(well.row), str(well.col), getattr(well.role, "value", well.role), value]
 
 
 def _first_repeat(*keys: np.ndarray) -> int | None:
@@ -81,8 +80,6 @@ def _first_repeat(*keys: np.ndarray) -> int | None:
     ``np.lexsort`` is stable, so within a run of equal keys every entry
     after the first is a repeat.
     """
-    if keys[0].size < 2:
-        return None
     order = np.lexsort(keys[::-1])
     same = np.logical_and.reduce([k[order[1:]] == k[order[:-1]] for k in keys])
     return int(order[1:][same].min()) if same.any() else None
@@ -98,34 +95,21 @@ class Plate:
     """
 
     def __init__(self, plate_id: str, wells: Iterable[Well] = ()):
-        wells = list(wells)
+        """Check ``wells`` as a plate CSV's rows; errors are the loader's, without ``line N:``."""
+        fields = [_csv_fields(plate_id, w) for w in wells]
+        plate_codes: dict[str, int] = {}
+        columns, failure = _check_chunk(fields, [0] * len(fields), plate_codes)
+        _raise_first_fault(plate_codes, columns, failure)
         self.plate_id = plate_id
-        self.row = np.array([w.row for w in wells], dtype=np.int64)
-        self.col = np.array([w.col for w in wells], dtype=np.int64)
-        self.role = np.array([_ROLE_CODES[w.role.value] for w in wells], dtype=np.int8)
-        self.value = np.array([math.nan if w.value is None else w.value for w in wells],
-                              dtype=np.float64)
-        self.line_no = np.zeros(len(wells), dtype=np.int64)
-        repeat_at = _first_repeat(self.row, self.col)
-        if repeat_at is not None:
-            raise DuplicateWell(
-                f"plate {plate_id}: duplicate well {self.wells[repeat_at].address}")
+        _, self.row, self.col, self.role, self.value, self.line_no = columns
 
     @classmethod
     def _from_columns(cls, plate_id, row, col, role, value, line_no) -> "Plate":
         """A plate over already checked columns."""
-        plate = cls(plate_id)
-        plate.row, plate.col, plate.role, plate.value, plate.line_no = (
-            row, col, role, value, line_no)
+        plate = cls.__new__(cls)
+        plate.plate_id, plate.row, plate.col, plate.role, plate.value, plate.line_no = (
+            plate_id, row, col, role, value, line_no)
         return plate
-
-    def add(self, well: Well) -> None:
-        """Append ``well``; its address must be new on this plate."""
-        if np.any((self.row == well.row) & (self.col == well.col)):
-            raise DuplicateWell(f"plate {self.plate_id}: duplicate well {well.address}")
-        new = Plate(self.plate_id, [well])
-        for name in ("row", "col", "role", "value", "line_no"):
-            setattr(self, name, np.concatenate((getattr(self, name), getattr(new, name))))
 
     @property
     def wells(self) -> list[Well]:
@@ -154,9 +138,6 @@ class Plate:
     def count(self, role: WellRole) -> int:
         return int(np.count_nonzero(self.is_role(role)))
 
-    def sample_wells(self) -> list[Well]:
-        return [w for w in self.wells if w.role is WellRole.SAMPLE]
-
     def transformed(self, fn) -> "Plate":
         """New plate with ``fn`` applied to the array of non-empty well values.
 
@@ -166,18 +147,19 @@ class Plate:
         filled = ~self.is_role(WellRole.EMPTY)
         value = self.value.copy()
         value[filled] = fn(self.value[filled])
-        non_finite = filled & ~np.isfinite(value)
+        plate = Plate._from_columns(self.plate_id, self.row, self.col, self.role, value,
+                                    self.line_no)
+        error, broken_by, message = _FINITE
+        non_finite = broken_by(plate)
         if non_finite.any():
-            w = self.wells[int(np.argmax(non_finite))]
-            raise NonFiniteValue(f"well ({w.row}, {w.col}) needs a finite value")
-        return Plate._from_columns(self.plate_id, self.row, self.col, self.role, value,
-                                   self.line_no)
+            i = int(np.argmax(non_finite))
+            raise error(message([plate.plate_id, str(plate.row[i]), str(plate.col[i]),
+                                 ROLES[plate.role[i]].value, str(plate.value[i])]))
+        return plate
 
 
-def _field_count_error(line_no: int, header: list[str], n_fields: int) -> MalformedRow:
-    return MalformedRow(
-        f"line {line_no}: expected {len(header)} fields ({','.join(header)}), got {n_fields}"
-    )
+def _field_count_message(header: list[str], n_fields: int) -> str:
+    return f"expected {len(header)} fields ({','.join(header)}), got {n_fields}"
 
 
 class CsvRows:
@@ -197,7 +179,8 @@ class CsvRows:
             if fields in ([], [""]):
                 continue
             if len(fields) != len(self.header):
-                raise _field_count_error(self.reader.line_num, self.header, len(fields))
+                raise MalformedRow(f"line {self.reader.line_num}: "
+                                   + _field_count_message(self.header, len(fields)))
             yield self.reader.line_num, fields
 
 
@@ -230,95 +213,113 @@ def read_csv_rows(source, headers: Sequence[list[str]]) -> Iterator[tuple[list[s
             raise MalformedRow(f"unreadable CSV: {exc}") from None
 
 
-def _parse_well(fields: list[str]) -> tuple[str, Well]:
-    plate_id, row_s, col_s, role_s, value_s = fields
-    if not plate_id:
-        raise MalformedRow("empty plate_id")
+def _parsed(parse, text: str):
     try:
-        row, col = int(row_s), int(col_s)
+        return parse(text)
     except ValueError:
-        raise MalformedRow("row/col must be integers") from None
-    code = _ROLE_CODES.get(role_s.lower())
-    if code is None:
-        raise UnknownRole(f"role {role_s!r} not in {sorted(_ROLE_CODES)}")
-    role = ROLES[code]
-    if not value_s and role is not WellRole.EMPTY:
-        raise MalformedRow(f"role {role.value!r} needs a value")
+        return None
+
+
+_REJECTED, _TOO_BIG = 1, 2  # fault codes of a parsed field; 0 is none
+
+
+def _column(texts: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, faults)``: ``texts`` parsed into a ``dtype`` array, and a fault
+    code each. A text that ``parse`` rejects reads 0 with ``_REJECTED``. An
+    integer of 2**63 or more reads 2**63 - 1 with ``_TOO_BIG``; one below
+    -2**63 reads -2**63, which is still not positive."""
+    n = len(texts)
     try:
-        value = float(value_s) if value_s else None
-    except ValueError:
-        raise MalformedRow(f"value {value_s!r} is not a number") from None
-    return plate_id, Well(row, col, role, value)
-
-
-def _row_error(line_no: int, fields: list[str]) -> DataValidationError:
-    """The error of a row that fails the per-row check, with its line."""
-    fields = [f.strip() for f in fields]
-    if len(fields) != len(EXPECTED_HEADER):
-        return _field_count_error(line_no, EXPECTED_HEADER, len(fields))
-    try:
-        _parse_well(fields)
-    except DataValidationError as exc:
-        return type(exc)(f"line {line_no}: {exc}")
-    raise AssertionError(f"line {line_no}: flagged by the chunk checks, passed by _parse_well")
-
-
-def _parsed_or(parse, text: str, dtype, invalid):
-    try:
-        return dtype(parse(text))
+        return np.fromiter(map(parse, texts), dtype, n), np.zeros(n, np.int8)
     except (ValueError, OverflowError):
-        return invalid
+        parsed = [_parsed(parse, t) for t in texts]
+    faults = [_REJECTED if v is None else _TOO_BIG if type(v) is int and v >= _ADDRESS_LIMIT
+              else 0 for v in parsed]
+    values = [0 if v is None else min(max(v, -_ADDRESS_LIMIT), _ADDRESS_LIMIT - 1)
+              if type(v) is int else v for v in parsed]
+    return np.array(values, dtype), np.array(faults, np.int8)
 
 
-def _column(texts: list[str], parse, dtype, invalid) -> np.ndarray:
-    """``texts`` parsed into a ``dtype`` array; a text that ``parse`` rejects,
-    or whose value ``dtype`` cannot hold, reads ``invalid``."""
-    try:
-        return np.fromiter(map(parse, texts), dtype, len(texts))
-    except (ValueError, OverflowError):
-        return np.array([_parsed_or(parse, t, dtype, invalid) for t in texts], dtype)
+_FINITE = (NonFiniteValue, lambda c: (c.role != _EMPTY) & ~np.isfinite(c.value),
+           lambda f: f"well ({int(f[1])}, {int(f[2])}) needs a finite value")
 
-
-# Plate code, row, col, role code, value and line number of each row.
-_NO_COLUMNS = tuple(np.empty(0, t) for t in (np.int64, np.int64, np.int64, np.int8,
-                                             np.float64, np.int64))
+# Each well rule as (error class, mask of the rows that break it, message from
+# the stripped fields of such a row), in the order a row is checked: a row is
+# reported by the first rule it breaks, so a rule may assume that the row
+# keeps every earlier one. A mask reads the columns that ``_check_chunk``
+# parses from a chunk, one entry a row (``address`` stacks rows over cols).
+_RULES = (
+    (MalformedRow, lambda c: ~c.has_id, lambda f: "empty plate_id"),
+    (MalformedRow, lambda c: (c.address_fault == _REJECTED).any(0),
+     lambda f: "row/col must be integers"),
+    (UnknownRole, lambda c: c.role < 0, lambda f: f"role {f[3]!r} not in {sorted(_ROLE_CODES)}"),
+    (MalformedRow, lambda c: ~c.has_value & (c.role != _EMPTY),
+     lambda f: f"role {f[3].lower()!r} needs a value"),
+    (MalformedRow, lambda c: c.value_fault == _REJECTED,
+     lambda f: f"value {f[4]!r} is not a number"),
+    (MalformedRow, lambda c: (c.address < 1).any(0),
+     lambda f: f"well address ({int(f[1])}, {int(f[2])}) must be positive"),
+    (MalformedRow, lambda c: (c.address_fault == _TOO_BIG).any(0),
+     lambda f: f"well address ({int(f[1])}, {int(f[2])}) must be below 2**63"),
+    (MalformedRow, lambda c: c.has_value & (c.role == _EMPTY),
+     lambda f: "empty wells carry no value"),
+    _FINITE,
+)
 
 
 def _check_chunk(fields: list[list[str]], lines: list[int], plate_codes: dict[str, int]):
     """Check one chunk of raw rows: ``(columns, failure)``.
 
-    Blank rows are dropped. ``failure`` is ``(line_no, fields)`` of the first
-    row that the per-row check (``_parse_well`` and the field count) would
-    reject, or None; ``columns`` hold the rows before it. New plate ids get
-    the next codes in ``plate_codes``, in order of first appearance.
+    Blank rows are dropped. ``failure`` is ``(line_no, error class, message)``
+    of the first row with the wrong field count or a broken rule of
+    ``_RULES``, or None; ``columns`` are the plate code, row, col, role code,
+    value and line number of each row before it. New plate ids get the next
+    codes in ``plate_codes``, in order of first appearance.
     """
     n_fields, m = len(EXPECTED_HEADER), len(fields)  # m: rows before a wrong field count
     if set(map(len, fields)) != {n_fields}:
         kept = [i for i, f in enumerate(fields) if len(f) > 1 or (f and f[0].strip())]
         fields, lines = [fields[i] for i in kept], [lines[i] for i in kept]
         m = next((i for i, f in enumerate(fields) if len(f) != n_fields), len(fields))
-    first, columns = m, _NO_COLUMNS
-    if m:
-        ids, rows, cols, roles, values = (list(map(str.strip, c)) for c in zip(*fields[:m]))
-        for plate_id in dict.fromkeys(ids):
-            plate_codes.setdefault(plate_id, len(plate_codes))
-        code = np.fromiter(map(plate_codes.__getitem__, ids), np.int64, m)
-        row = _column(rows, int, np.int64, 0)
-        col = _column(cols, int, np.int64, 0)
-        role_of = {r: _ROLE_CODES.get(r.lower(), -1) for r in set(roles)}
-        role = np.fromiter(map(role_of.__getitem__, roles), np.int8, m)
-        value = _column([v or "nan" for v in values], float, np.float64, math.nan)
-        # An empty well must have no value; any other needs a finite one.
-        value_bad = np.where(role == _EMPTY, np.fromiter(map(bool, values), bool, m),
-                             ~np.isfinite(value))
-        bad = (~np.fromiter(map(bool, ids), bool, m) | (row < 1) | (col < 1) | (role < 0)
-               | value_bad)
-        if bad.any():
-            first = int(np.argmax(bad))
-        columns = tuple(a[:first] for a in (code, row, col, role, value,
-                                             np.array(lines[:m], dtype=np.int64)))
-    failure = (lines[first], fields[first]) if first < len(fields) else None
-    return columns, failure
+    failure = None
+    if m < len(fields):
+        failure = (lines[m], MalformedRow, _field_count_message(EXPECTED_HEADER, len(fields[m])))
+    texts = [list(map(str.strip, c)) for c in zip(*fields[:m])] or [[]] * n_fields
+    ids, rows, cols, roles, values = texts
+    for plate_id in dict.fromkeys(ids):
+        plate_codes.setdefault(plate_id, len(plate_codes))
+    code = np.fromiter(map(plate_codes.__getitem__, ids), np.int64, m)
+    address, address_fault = _column(rows + cols, int, np.int64)
+    role_of = {r: _ROLE_CODES.get(r.lower(), -1) for r in set(roles)}
+    value, value_fault = _column([v or "nan" for v in values], float, np.float64)
+    checked = SimpleNamespace(
+        has_id=np.fromiter(map(bool, ids), bool, m), address=address.reshape(2, m),
+        address_fault=address_fault.reshape(2, m), value=value, value_fault=value_fault,
+        role=np.fromiter(map(role_of.__getitem__, roles), np.int8, m),  # -1: unknown
+        has_value=np.fromiter(map(bool, values), bool, m))
+    broken = [mask(checked) for _, mask, _ in _RULES]
+    bad = np.logical_or.reduce(broken)
+    first = int(np.argmax(bad)) if bad.any() else m
+    if first < m:
+        error, _, message = next(r for r, mask in zip(_RULES, broken) if mask[first])
+        failure = (lines[first], error, message([t[first] for t in texts]))
+    columns = (code, *checked.address, checked.role, checked.value,
+               np.array(lines[:m], dtype=np.int64))
+    return tuple(a[:first] for a in columns), failure
+
+
+def _raise_first_fault(plate_codes: dict[str, int], columns, failure) -> None:
+    """Raise the error of the first bad row, if any: a repeat of an earlier (plate, row, col)
+    address, else ``failure``; after ``line N:`` if the row was read from a file."""
+    code, row, col, _, _, line = columns
+    repeat_at = _first_repeat(code, row, col)
+    if repeat_at is not None:
+        plate_id = list(plate_codes)[code[repeat_at]]
+        failure = (line[repeat_at], DuplicateWell,
+                   f"plate {plate_id}: duplicate well R{row[repeat_at]}C{col[repeat_at]}")
+    if failure is not None:
+        line_no, error, message = failure
+        raise error(f"line {line_no}: {message}" if line_no else message)
 
 
 def plates_from_rows(rows: CsvRows) -> list[Plate]:
@@ -326,8 +327,8 @@ def plates_from_rows(rows: CsvRows) -> list[Plate]:
 
     Reads ``rows.reader`` in chunks of ``CHUNK_ROWS`` rows and stops at the
     first row that fails a check. That row, or an earlier row that repeats
-    a (plate, row, col) address, raises with the per-row check's message
-    and its line number. A file without data rows is rejected.
+    a (plate, row, col) address, raises with its line number. A file
+    without data rows is rejected.
     """
     reader, plate_codes, chunks = rows.reader, {}, []
     failure = read_error = None
@@ -343,16 +344,11 @@ def plates_from_rows(rows: CsvRows) -> list[Plate]:
         chunks.append(columns)
         if len(fields) < CHUNK_ROWS:
             break
-    code, row, col, role, value, line = (np.concatenate(c) for c in zip(*chunks))
-    repeat_at = _first_repeat(code, row, col)
-    if repeat_at is not None:
-        plate_id = list(plate_codes)[code[repeat_at]]
-        raise DuplicateWell(f"line {line[repeat_at]}: plate {plate_id}: duplicate well "
-                            f"R{row[repeat_at]}C{col[repeat_at]}")
-    if failure is not None:
-        raise _row_error(*failure)
+    columns = tuple(np.concatenate(c) for c in zip(*chunks))
+    _raise_first_fault(plate_codes, columns, failure)
     if read_error is not None:
         raise read_error
+    code, row, col, role, value, line = columns
     if not code.size:
         raise MalformedRow("no data rows after the header")
     groups = np.split(np.argsort(code, kind="stable"), np.cumsum(np.bincount(code))[:-1])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,16 +78,6 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json_dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
-        """The report of a ``to_dict`` mapping; other keys are ignored, dict values copied."""
-        values = {f.name: d[f.name] for f in fields(cls)}
-        return cls(**{k: dict(v) if isinstance(v, dict) else v for k, v in values.items()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        return cls.from_dict(json.loads(text))
 
 
 def _acceptance_flags(z: float | None, s: float | None, g: float) -> dict[str, bool]:

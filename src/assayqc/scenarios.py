@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, UnknownScenario
-from .report import RunManifest
+from .report import RunManifest, json_dumps
 from .samples import SampleSet
 from .simulation import (
     DistributionSpec,
     GridPoint,
     ScenarioConfig,
     ScenarioResult,
+    _check_sample_sizes,
     _check_subsample,
     _run_grid,
     add_awgn,
@@ -117,10 +118,11 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
 
     Raises ``ConfigError`` for an unknown key, a value without the JSON type
     of its default, an empty list (it would write empty tables), a list that
-    repeats a value (its runs would write one file or row twice) and a sample
+    repeats a value (its runs would write one file or row twice), a sample
     size in fig6 ``sizes`` or fig4/fig5 ``panel_c_sizes`` that is not an
-    integer (it would be truncated). Value ranges, such as a NaN location,
-    are checked when the run builds its ``ScenarioConfig``/``DistributionSpec``.
+    integer (it would be truncated) and a sample size of 2**63 or more (no
+    array is that long). Value ranges, such as a NaN location, are checked
+    when the run builds its ``ScenarioConfig``/``DistributionSpec``.
     """
     cfg = default_config(name)
     for key, value in (overrides or {}).items():
@@ -144,6 +146,8 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
             if repeated:
                 raise ConfigError(f"config key {key!r} for scenario {name} repeats "
                                   f"{repeated[0]!r}; each grid value must appear once")
+        if key in ("n", "sizes", "panel_c_sizes"):
+            _check_sample_sizes(f"config key {key!r} for scenario {name}", value)
         cfg[key] = value
     return cfg
 
@@ -369,9 +373,15 @@ def emit_run(
 ) -> list[Path]:
     """Write each ``filename: (columns, rows)`` table as a CSV, then manifest.json.
 
-    The manifest records the sha256 of every CSV. Returns the written paths
-    (manifest last).
+    The manifest records the sha256 of every CSV; a config value it cannot
+    hold (an infinite number) raises ``ConfigError`` before any file is
+    written. Returns the written paths (manifest last).
     """
+    for key, value in config.items():  # the manifest must be able to record the run
+        try:
+            json_dumps(value)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -400,8 +410,6 @@ def run_scenario(
 
     Returns the written paths (manifest last).
     """
-    if name not in _RUNNERS:
-        raise UnknownScenario(f"scenario {name!r} not in {SCENARIO_NAMES}")
     overrides = dict(overrides or {})
     # A replayed manifest carries its bins override; an explicit flag wins.
     replayed_bins = overrides.pop("bins", None)

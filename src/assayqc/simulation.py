@@ -188,6 +188,8 @@ class ScenarioConfig:
         if self.outlier_fractions is not None:
             if any(not 0.0 <= f <= 1.0 for f in self.outlier_fractions):
                 raise ConfigError("outlier fractions must lie in [0, 1]")
+        if any(math.isnan(s) for s in self.snr_db or ()):
+            raise ConfigError(f"snr_db must not be NaN, got {list(self.snr_db)}")
         if self.bins is not None and self.bins < 1:
             raise ConfigError("bins override must be >= 1")
 
@@ -504,6 +506,12 @@ class SubsampleEstimate(NamedTuple):
     mean_ssmd: float
 
 
+def _check_sample_sizes(name: str, value: int | list[int]) -> None:
+    """Reject a sample size that cannot be a numpy array length, naming ``name``."""
+    if max(value if isinstance(value, list) else [value]) >= 2**63:
+        raise ConfigError(f"{name} must be under 2**63, got {value!r}")
+
+
 def _check_subsample(subsample_size: int, repeats: int, n: int) -> None:
     """Reject a subsample size outside ``[1, n]`` and fewer than one repeat."""
     if subsample_size < 1 or subsample_size > n:
@@ -612,6 +620,7 @@ def calibrate_null(
         raise ConfigError("calibration needs at least one sample size")
     if any(s < 1 for s in sizes):
         raise ConfigError("calibration sizes must be >= 1")
+    _check_sample_sizes("calibration sizes", list(sizes))
     if len(set(sizes)) < len(sizes):
         raise ConfigError(f"calibration sizes {list(sizes)} repeat a size; each must appear once")
     if trials < 100:

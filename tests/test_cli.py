@@ -535,6 +535,36 @@ def test_nan_location_exits_2(tmp_path, capsys, command, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config, named", [
+    (["simulate", "fig4"], {"snr_db": [float("nan")], "trials": 1, "n": 20},
+     "snr_db must not be NaN"),
+    (["simulate", "fig5"], {"snr_db": [float("nan")], "trials": 1, "n": 20},
+     "snr_db must not be NaN"),
+    (["simulate", "fig2"], {"mu_diffs": [0, float("-inf")], "trials": 1, "n": 20},
+     "config key 'mu_diffs'"),
+    (["simulate", "fig1"], {"n": 2**63}, "config key 'n'"),
+    (["simulate", "fig4"], {"panel_c_sizes": [2**63], "trials": 1, "n": 20},
+     "config key 'panel_c_sizes'"),
+    (["simulate", "fig6"], {"sizes": [10, 2**63], "trials": 100}, "config key 'sizes'"),
+    (["calibrate", "--sizes", str(2**63), "--trials", "100"], None, "calibration sizes"),
+], ids=["fig4-nan-snr", "fig5-nan-snr", "fig2-infinite-mu", "fig1-n", "fig4-panel-c",
+        "fig6-sizes", "calibrate-sizes"])
+def test_config_value_that_cannot_run_or_be_recorded_exits_2(tmp_path, capsys, command,
+                                                              config, named):
+    """A NaN snr_db, a non-finite number the manifest cannot record and a sample size
+    no array can hold exit 2 with one line that names the key or flag, and write no
+    file (so no CSV without its manifest)."""
+    out = tmp_path / "out"
+    argv = command + ["--seed", "1", "--out-dir", str(out)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))  # NaN, -Infinity as JSON reads them
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["metrics", "{tmp}/in.csv", "--out-dir", "{tmp}/x"],
     ["hits", "{tmp}/in.csv", "--out-dir", "{tmp}/x"],

@@ -131,7 +131,6 @@ class TestPlateHelpers:
         plate = self.make()
         assert plate.count(WellRole.NEGATIVE) == 2
         assert plate.count(WellRole.EMPTY) == 1
-        assert [w.address for w in plate.sample_wells()] == ["R1C3"]
 
     def test_transformed_applies_only_to_values(self):
         plate = self.make().transformed(lambda v: v * 2)
@@ -146,20 +145,13 @@ class TestPlateHelpers:
         with pytest.raises(DuplicateWell):
             Plate("p", [Well(1, 1, WellRole.SAMPLE, 1.0), Well(1, 1, WellRole.SAMPLE, 2.0)])
 
-    def test_add_rejects_a_taken_address(self):
-        plate = self.make()
-        plate.add(Well(3, 1, WellRole.SAMPLE, 1.0))
-        with pytest.raises(DuplicateWell, match="R3C1"):
-            plate.add(Well(3, 1, WellRole.NEGATIVE, 2.0))
-        assert len(plate.wells) == 7
-
     def test_well_validation(self):
         with pytest.raises(MalformedRow):
-            Well(0, 1, WellRole.SAMPLE, 1.0)
+            Plate("p", [Well(0, 1, WellRole.SAMPLE, 1.0)])
         with pytest.raises(NonFiniteValue):
-            Well(1, 1, WellRole.SAMPLE, float("nan"))
+            Plate("p", [Well(1, 1, WellRole.SAMPLE, float("nan"))])
         with pytest.raises(NonFiniteValue):
-            Well(1, 1, WellRole.SAMPLE, None)
+            Plate("p", [Well(1, 1, WellRole.SAMPLE, None)])
 
 
 class TestReadCsvRows:
@@ -218,6 +210,8 @@ def _row_by_row_well(fields):
         raise MalformedRow(f"value {value_s!r} is not a number") from None
     if row < 1 or col < 1:
         raise MalformedRow(f"well address ({row}, {col}) must be positive")
+    if row >= 2**63 or col >= 2**63:
+        raise MalformedRow(f"well address ({row}, {col}) must be below 2**63")
     if role == "empty":
         if value is not None:
             raise MalformedRow("empty wells carry no value")
@@ -281,7 +275,8 @@ def assert_same_as_row_by_row(text, chunk_rows=plate_module.CHUNK_ROWS):
 
 # Mostly valid fields, so that most rows pass and addresses repeat.
 _address = st.sampled_from(["1", "2", "3"] * 5 + [" 2 ", "0", "-1", "a", "1.5", "", "1_0", "+3",
-                                                  "\u0663", "9223372036854775807"])
+                                                  "\u0663", "9223372036854775807",
+                                                  "9223372036854775808", "-9223372036854775809"])
 _fields = st.tuples(
     st.sampled_from(["p1"] * 6 + ["p2", " p2 ", "P1", ""]),
     _address,
@@ -381,3 +376,45 @@ class TestColumnWiseLoader:
         assert [ROLE.value for ROLE in (plate_module.ROLES[k] for k in plate_a.role)] == [
             "neg", "empty", "sample"]
         assert plate_a.value[[0, 2]].tolist() == [1.0, 4.0] and math.isnan(plate_a.value[1])
+
+
+# One bad row per well rule, in the order the rules are checked, a repeated address and
+# rows that break two rules: (CSV data rows, plate id, wells, the message without its line).
+_ONE_BAD_ROW_PER_RULE = [
+    (",1,1,pos,1.0", "", [Well(1, 1, WellRole.POSITIVE, 1.0)], "empty plate_id"),
+    ("p,one,1,pos,1.0", "p", [Well("one", 1, WellRole.POSITIVE, 1.0)],
+     "row/col must be integers"),
+    ("p,1,1,ctl,1.0", "p", [Well(1, 1, "ctl", 1.0)],
+     "role 'ctl' not in ['empty', 'neg', 'pos', 'sample']"),
+    ("p,1,1,sample,", "p", [Well(1, 1, WellRole.SAMPLE, "")], "role 'sample' needs a value"),
+    ("p,1,1,sample,x", "p", [Well(1, 1, WellRole.SAMPLE, "x")], "value 'x' is not a number"),
+    ("p,0,1,sample,1.0", "p", [Well(0, 1, WellRole.SAMPLE, 1.0)],
+     "well address (0, 1) must be positive"),
+    (f"p,1,{2**63},sample,1.0", "p", [Well(1, 2**63, WellRole.SAMPLE, 1.0)],
+     f"well address (1, {2**63}) must be below 2**63"),
+    ("p,1,1,empty,3.0", "p", [Well(1, 1, WellRole.EMPTY, 3.0)], "empty wells carry no value"),
+    ("p,1,1,sample,inf", "p", [Well(1, 1, WellRole.SAMPLE, math.inf)],
+     "well (1, 1) needs a finite value"),
+    ("p,1,1,sample,1.0\np,1,1,neg,2.0", "p",
+     [Well(1, 1, WellRole.SAMPLE, 1.0), Well(1, 1, WellRole.NEGATIVE, 2.0)],
+     "plate p: duplicate well R1C1"),
+    # A row that breaks two rules is reported by the one checked first.
+    ("p,1,1,ctl,x", "p", [Well(1, 1, "ctl", "x")],
+     "role 'ctl' not in ['empty', 'neg', 'pos', 'sample']"),
+    ("p,1,1,neg,", "p", [Well(1, 1, WellRole.NEGATIVE, "")], "role 'neg' needs a value"),
+    (f"p,{2**63},0,sample,1.0", "p", [Well(2**63, 0, WellRole.SAMPLE, 1.0)],
+     f"well address ({2**63}, 0) must be positive"),
+    ("p,0,1,empty,3.0", "p", [Well(0, 1, WellRole.EMPTY, 3.0)],
+     "well address (0, 1) must be positive"),
+]
+
+
+@pytest.mark.parametrize("rows, plate_id, wells, message", _ONE_BAD_ROW_PER_RULE)
+def test_plate_raises_the_loaders_error_without_the_line(rows, plate_id, wells, message):
+    with pytest.raises(DataValidationError) as from_csv:
+        load_text(HEADER + rows + "\n")
+    with pytest.raises(DataValidationError) as from_wells:
+        Plate(plate_id, wells)
+    assert type(from_wells.value) is type(from_csv.value)
+    assert str(from_wells.value) == message
+    assert str(from_csv.value) == f"line {1 + len(wells)}: {message}"
