@@ -3,10 +3,12 @@
 Subcommands: ``metrics``, ``simulate <fig1..fig6>``, ``hits``,
 ``calibrate``. Machine output (JSON/CSV) goes to stdout or files; human
 diagnostics go to stderr. Exit codes: 0 success, 2 input/config validation
-error, 3 numeric error: a metric's precondition failed, or a floating-point
-overflow, invalid operation or division by zero occurred anywhere in the
-command. ``simulate`` and ``calibrate`` write their CSVs and a manifest
-through ``scenarios.emit_run``.
+error, or an input too large for memory (a ``MemoryError``, such as a
+sample size that fits in int64 but cannot be allocated), 3 numeric error: a
+metric's precondition failed, or a floating-point overflow, invalid
+operation or division by zero occurred anywhere in the command.
+``simulate`` and ``calibrate`` write their CSVs and a manifest through
+``scenarios.emit_run``.
 """
 
 from __future__ import annotations
@@ -270,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
             return _COMMANDS[args.subcommand](args)
     except (DataValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
     except (NumericError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

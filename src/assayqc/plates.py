@@ -9,9 +9,12 @@ only for role=empty. One output ``Plate`` per distinct plate_id, in order
 of first appearance.
 
 A ``Plate`` stores its wells as arrays in file order. The loader reads a
-file in chunks of ``CHUNK_ROWS`` rows and checks each chunk with array
+file in chunks of ``CHUNK_ROWS`` lines and checks each chunk with array
 operations, so every row of every plate is checked while memory stays
-bounded. ``_RULES`` states each well rule once: a mask over a chunk's
+bounded. Two parsers fill a chunk's columns: numpy's C reader
+(``_numpy_chunk``) where it reads the lines as ``csv`` would, else
+``csv.reader`` with Python's ``int`` and ``float`` (``_python_chunk``).
+``_RULES`` states each well rule once for both: a mask over a chunk's
 columns and the message of a row that breaks it. The first failing row, in
 file order, is reported. ``Plate(plate_id, wells)`` runs the same check on
 its wells' CSV rows, so it raises the loader's errors without their
@@ -22,10 +25,11 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -61,10 +65,6 @@ class Well:
     role: WellRole
     value: float | None = None
 
-    @property
-    def address(self) -> str:
-        return f"R{self.row}C{self.col}"
-
 
 def _csv_fields(plate_id: str, well: Well) -> list[str]:
     """``well``'s row of a plate CSV. A missing value is an empty field on an
@@ -98,7 +98,7 @@ class Plate:
         """Check ``wells`` as a plate CSV's rows; errors are the loader's, without ``line N:``."""
         fields = [_csv_fields(plate_id, w) for w in wells]
         plate_codes: dict[str, int] = {}
-        columns, failure = _check_chunk(fields, [0] * len(fields), plate_codes)
+        columns, failure = _check_chunk(plate_codes, *_python_chunk(fields, [0] * len(fields)))
         _raise_first_fault(plate_codes, columns, failure)
         self.plate_id = plate_id
         _, self.row, self.col, self.role, self.value, self.line_no = columns
@@ -167,11 +167,12 @@ class CsvRows:
 
     Iterating yields ``(line_no, stripped fields)``, skipping blank lines and
     rejecting rows whose field count differs from the header's. Bulk loaders
-    read ``reader``, the underlying ``csv.reader``, instead.
+    read ``lines``, the text lines under ``reader``, instead, starting after
+    line ``reader.line_num``.
     """
 
-    def __init__(self, reader, header: list[str]):
-        self.reader, self.header = reader, header
+    def __init__(self, lines: Iterator[str], reader, header: list[str]):
+        self.lines, self.reader, self.header = lines, reader, header
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
         for fields in self.reader:
@@ -201,14 +202,15 @@ def read_csv_rows(source, headers: Sequence[list[str]]) -> Iterator[tuple[list[s
                 source = stack.enter_context(open(source, encoding="utf-8-sig", newline=""))
             elif isinstance(source, (bytes, bytearray)):
                 source = io.StringIO(source.decode("utf-8-sig"))
-            reader = csv.reader(source)
+            lines = iter(source)
+            reader = csv.reader(lines)
             first = next(reader, None)
             if first is None:
                 raise MalformedRow(f"empty input: expected header {expected}")
             header = [h.strip().lower() for h in first]
             if header not in headers:
                 raise MalformedRow(f"line 1: expected header {expected}, got {','.join(header)}")
-            yield header, CsvRows(reader, header)
+            yield header, CsvRows(lines, reader, header)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise MalformedRow(f"unreadable CSV: {exc}") from None
 
@@ -240,6 +242,13 @@ def _column(texts: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.array(values, dtype), np.array(faults, np.int8)
 
 
+def _value_column(texts: list[str]) -> dict:
+    """The value columns of stripped value ``texts``; an empty text reads NaN."""
+    value, value_fault = _column([v or "nan" for v in texts], float, np.float64)
+    return dict(value=value, value_fault=value_fault,
+                has_value=np.fromiter(map(bool, texts), bool, len(texts)))
+
+
 _FINITE = (NonFiniteValue, lambda c: (c.role != _EMPTY) & ~np.isfinite(c.value),
            lambda f: f"well ({int(f[1])}, {int(f[2])}) needs a finite value")
 
@@ -247,7 +256,7 @@ _FINITE = (NonFiniteValue, lambda c: (c.role != _EMPTY) & ~np.isfinite(c.value),
 # the stripped fields of such a row), in the order a row is checked: a row is
 # reported by the first rule it breaks, so a rule may assume that the row
 # keeps every earlier one. A mask reads the columns that ``_check_chunk``
-# parses from a chunk, one entry a row (``address`` stacks rows over cols).
+# completes from a parser's, one entry a row (``address`` stacks rows over cols).
 _RULES = (
     (MalformedRow, lambda c: ~c.has_id, lambda f: "empty plate_id"),
     (MalformedRow, lambda c: (c.address_fault == _REJECTED).any(0),
@@ -267,15 +276,10 @@ _RULES = (
 )
 
 
-def _check_chunk(fields: list[list[str]], lines: list[int], plate_codes: dict[str, int]):
-    """Check one chunk of raw rows: ``(columns, failure)``.
-
-    Blank rows are dropped. ``failure`` is ``(line_no, error class, message)``
-    of the first row with the wrong field count or a broken rule of
-    ``_RULES``, or None; ``columns`` are the plate code, row, col, role code,
-    value and line number of each row before it. New plate ids get the next
-    codes in ``plate_codes``, in order of first appearance.
-    """
+def _python_chunk(fields: list[list[str]], lines: list[int]):
+    """``csv.reader`` rows parsed by Python's ``int`` and ``float``: ``(columns,
+    lines, failure)``. Blank rows are dropped; ``failure`` is the first row
+    with the wrong field count, and ``columns`` cover the rows before it."""
     n_fields, m = len(EXPECTED_HEADER), len(fields)  # m: rows before a wrong field count
     if set(map(len, fields)) != {n_fields}:
         kept = [i for i, f in enumerate(fields) if len(f) > 1 or (f and f[0].strip())]
@@ -285,26 +289,70 @@ def _check_chunk(fields: list[list[str]], lines: list[int], plate_codes: dict[st
     if m < len(fields):
         failure = (lines[m], MalformedRow, _field_count_message(EXPECTED_HEADER, len(fields[m])))
     texts = [list(map(str.strip, c)) for c in zip(*fields[:m])] or [[]] * n_fields
-    ids, rows, cols, roles, values = texts
-    for plate_id in dict.fromkeys(ids):
-        plate_codes.setdefault(plate_id, len(plate_codes))
-    code = np.fromiter(map(plate_codes.__getitem__, ids), np.int64, m)
-    address, address_fault = _column(rows + cols, int, np.int64)
-    role_of = {r: _ROLE_CODES.get(r.lower(), -1) for r in set(roles)}
-    value, value_fault = _column([v or "nan" for v in values], float, np.float64)
-    checked = SimpleNamespace(
-        has_id=np.fromiter(map(bool, ids), bool, m), address=address.reshape(2, m),
-        address_fault=address_fault.reshape(2, m), value=value, value_fault=value_fault,
-        role=np.fromiter(map(role_of.__getitem__, roles), np.int8, m),  # -1: unknown
-        has_value=np.fromiter(map(bool, values), bool, m))
-    broken = [mask(checked) for _, mask, _ in _RULES]
+    address, address_fault = _column(texts[1] + texts[2], int, np.int64)
+    columns = SimpleNamespace(ids=texts[0], roles=texts[3], address=address.reshape(2, m),
+                              address_fault=address_fault.reshape(2, m), **_value_column(texts[4]),
+                              fields=lambda i: [t[i] for t in texts])
+    return columns, np.array(lines[:m], dtype=np.int64), failure
+
+
+def _numpy_chunk(lines: list[str], line_no: int):
+    """Text ``lines`` after line ``line_no`` parsed by numpy's C reader, one row a
+    line, as ``_python_chunk`` parses rows; or None where the two could differ:
+    text that is not ASCII, a field over the ``csv`` size limit, a line numpy
+    rejects, skips as blank or joins to the next, or a quoted field left open
+    by the last line."""
+    if not "".join(lines).isascii() or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    table = None
+    for value_type in (np.float64, object):  # an empty value field needs object
+        try:
+            with warnings.catch_warnings():  # warnings for a chunk without data, and
+                warnings.simplefilter("error")  # from numpy < 2 for "1.5" read as an int
+                table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                                   dtype=[("id", object), ("row", np.int64), ("col", np.int64),
+                                          ("role", object), ("value", value_type)])
+            break
+        except (ValueError, Warning):
+            pass
+    m = len(lines)
+    if table is None or len(table) != m or '"' in lines[-1] and any(
+            c in field for field in next(csv.reader(lines[-1:])) for c in "\r\n"):
+        return None
+    values = (_value_column([v.strip() for v in table["value"]]) if value_type is object else
+              dict(value=table["value"].copy(), value_fault=np.zeros(m, np.int8),
+                   has_value=np.ones(m, bool)))  # a copy, so no chunk keeps its table alive
+    columns = SimpleNamespace(
+        ids=table["id"], roles=table["role"], address=np.stack([table["row"], table["col"]]),
+        address_fault=np.zeros((2, m), np.int8), **values,
+        fields=lambda i: [str(table[i][k]).strip() for k in range(5)])
+    return columns, np.arange(line_no + 1, line_no + m + 1), None
+
+
+def _check_chunk(plate_codes: dict[str, int], c, lines: np.ndarray, failure):
+    """Check the columns ``c`` a parser filled for a chunk against ``_RULES``:
+    ``(columns, failure)``.
+
+    ``failure``, if any, is ``(line_no, error class, message)``; it gives
+    way to an earlier row that breaks a rule. The returned columns are the
+    plate code, row, col, role code, value and line number of each row
+    before it. New plate ids, stripped, get the next codes in
+    ``plate_codes``, in order of first appearance.
+    """
+    m = len(lines)
+    code_of = {raw: plate_codes.setdefault(raw.strip(), len(plate_codes))
+               for raw in dict.fromkeys(c.ids)}
+    code = np.fromiter(map(code_of.__getitem__, c.ids), np.int64, m)
+    c.has_id = code != plate_codes.get("", -1)
+    role_of = {r: _ROLE_CODES.get(r.strip().lower(), -1) for r in set(c.roles)}
+    c.role = np.fromiter(map(role_of.__getitem__, c.roles), np.int8, m)  # -1: unknown
+    broken = [mask(c) for _, mask, _ in _RULES]
     bad = np.logical_or.reduce(broken)
     first = int(np.argmax(bad)) if bad.any() else m
     if first < m:
         error, _, message = next(r for r, mask in zip(_RULES, broken) if mask[first])
-        failure = (lines[first], error, message([t[first] for t in texts]))
-    columns = (code, *checked.address, checked.role, checked.value,
-               np.array(lines[:m], dtype=np.int64))
+        failure = (lines[first], error, message(c.fields(first)))
+    columns = (code, *c.address, c.role, c.value, lines)
     return tuple(a[:first] for a in columns), failure
 
 
@@ -322,27 +370,48 @@ def _raise_first_fault(plate_codes: dict[str, int], columns, failure) -> None:
         raise error(f"line {line_no}: {message}" if line_no else message)
 
 
+def _failing(exc: Exception):
+    raise exc
+    yield  # a generator, so ``exc`` is raised when it is first read
+
+
 def plates_from_rows(rows: CsvRows) -> list[Plate]:
     """Check every data row of a plate CSV and group the rows into plates.
 
-    Reads ``rows.reader`` in chunks of ``CHUNK_ROWS`` rows and stops at the
-    first row that fails a check. That row, or an earlier row that repeats
-    a (plate, row, col) address, raises with its line number. A file
-    without data rows is rejected.
+    Reads ``rows.lines`` in chunks of ``CHUNK_ROWS`` lines and stops at the
+    first row that fails a check. ``_numpy_chunk`` parses a chunk; where it
+    declines, ``csv.reader`` and ``_python_chunk`` do, reading on to the end
+    of a quoted field that spans the chunk's last line. That row, or an
+    earlier row that repeats a (plate, row, col) address, raises with its
+    line number. A file without data rows is rejected.
     """
-    reader, plate_codes, chunks = rows.reader, {}, []
+    source, line_no, plate_codes, chunks = rows.lines, rows.reader.line_num, {}, []
     failure = read_error = None
     while failure is None and read_error is None:
-        fields, lines = [], []
+        lines = []
         try:
-            for row_fields in islice(reader, CHUNK_ROWS):
-                fields.append(row_fields)
-                lines.append(reader.line_num)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            read_error = exc  # raised once the rows before it are checked
-        columns, failure = _check_chunk(fields, lines, plate_codes)
+            lines.extend(islice(source, CHUNK_ROWS))
+        except UnicodeDecodeError as exc:
+            read_error = exc  # raised once the lines before it, kept by extend, are checked
+        if chunks and not lines:
+            break
+        parsed, consumed = _numpy_chunk(lines, line_no), len(lines)
+        if parsed is None:
+            reader = csv.reader(chain(lines, _failing(read_error) if read_error else source))
+            fields, numbers = [], []
+            try:
+                for row_fields in reader:
+                    fields.append(row_fields)
+                    numbers.append(line_no + reader.line_num)
+                    if reader.line_num >= len(lines):
+                        break
+            except (UnicodeDecodeError, csv.Error) as exc:
+                read_error = exc
+            parsed, consumed = _python_chunk(fields, numbers), reader.line_num
+        columns, failure = _check_chunk(plate_codes, *parsed)
         chunks.append(columns)
-        if len(fields) < CHUNK_ROWS:
+        line_no += consumed
+        if len(lines) < CHUNK_ROWS:
             break
     columns = tuple(np.concatenate(c) for c in zip(*chunks))
     _raise_first_fault(plate_codes, columns, failure)

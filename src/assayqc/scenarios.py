@@ -120,9 +120,11 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
     of its default, an empty list (it would write empty tables), a list that
     repeats a value (its runs would write one file or row twice), a sample
     size in fig6 ``sizes`` or fig4/fig5 ``panel_c_sizes`` that is not an
-    integer (it would be truncated) and a sample size of 2**63 or more (no
-    array is that long). Value ranges, such as a NaN location, are checked
-    when the run builds its ``ScenarioConfig``/``DistributionSpec``.
+    integer (it would be truncated), a sample size of 2**63 or more (no
+    array is that long) and a ``panel_c_sizes`` size below 2 (a panel C
+    sweep needs two values a group; checked here, before panel A runs). Value
+    ranges, such as a NaN location, are checked when the run builds its
+    ``ScenarioConfig``/``DistributionSpec``.
     """
     cfg = default_config(name)
     for key, value in (overrides or {}).items():
@@ -148,6 +150,9 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
                                   f"{repeated[0]!r}; each grid value must appear once")
         if key in ("n", "sizes", "panel_c_sizes"):
             _check_sample_sizes(f"config key {key!r} for scenario {name}", value)
+        if key == "panel_c_sizes" and min(value) < 2:
+            raise ConfigError(f"config key {key!r} for scenario {name} must hold sizes >= 2, "
+                              f"got {value!r}")
         cfg[key] = value
     return cfg
 

@@ -579,3 +579,45 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, argv):
         main([a.format(tmp=tmp_path) for a in argv])
     assert exc.value.code == 2
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("scenario, sizes", [("fig5", [-1]), ("fig5", [10, 1]), ("fig4", [0])])
+def test_panel_c_size_below_2_names_the_key_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                             scenario, sizes):
+    from assayqc import scenarios
+
+    def no_trials(*args):
+        raise AssertionError("a sweep ran before panel C's sizes were checked")
+    monkeypatch.setattr(scenarios, "run_noise_sweep", no_trials)
+    monkeypatch.setattr(scenarios, "_run_grid", no_trials)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"panel_c_sizes": sizes}))
+    out = tmp_path / "out"
+    assert main(["simulate", scenario, "--seed", "1", "--out-dir", str(out),
+                 "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config key 'panel_c_sizes' for scenario {scenario} must hold sizes >= 2, "
+        f"got {sizes!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reason, shown", [
+    ("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type "
+     "float64", None),
+    ("", "an allocation failed"),
+], ids=["numpy-reason", "no-reason"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "fig1", "--seed", "1"],
+    ["calibrate", "--seed", "1", "--sizes", "10", "--trials", "100"],
+], ids=["simulate", "calibrate"])
+def test_an_input_too_large_for_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                             reason, shown, argv):
+    from assayqc import simulation
+
+    def no_memory(dist, n, rng):  # stands in for a draw of, say, n = 2**40 values
+        raise MemoryError(reason)
+    monkeypatch.setattr(simulation, "_sample", no_memory)
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {shown or reason}\n"
+    assert not out.exists()

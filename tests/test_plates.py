@@ -418,3 +418,105 @@ def test_plate_raises_the_loaders_error_without_the_line(rows, plate_id, wells, 
     assert type(from_wells.value) is type(from_csv.value)
     assert str(from_wells.value) == message
     assert str(from_csv.value) == f"line {1 + len(wells)}: {message}"
+
+
+# --- numpy's C reader against the row-by-row oracle ---------------------------
+
+def _quoted(field):
+    """``field`` as R's ``write.csv`` writes a string: in quotes, with ``""`` for a quote."""
+    return '"' + field.replace('"', '""') + '"'
+
+
+_OPEN_AT_END = 'p1,1,1,neg,"1'  # a quoted field that the line break does not close
+# Lines that numpy reads otherwise than ``csv`` with Python's int and float, or not at all,
+# and rows that break a rule, each among valid rows.
+_C_ODD_LINES = [
+    "p1,\u01fe1,1,pos,1", "p1,1_0,10,pos,1", "p1,\u0663,11,neg,1", f"p1,1,{2**63},pos,1",
+    f"p1,{2**63 - 1},12,sample,1", "p1,10,10,empty,nan", 'p1,10,11, "pos",1',
+    '"p1",10,12,"empty",""', "", "  ", "\t", "\ufeff", "\ufeffp1,10,13,pos,1", "p1,1,1,pos", ",",
+    '"p\n1",1,2,pos,1', 'p2,2,2,neg,"4\n"', _OPEN_AT_END, "p1,0,1,pos,1", "p1,10,14,ctl,1",
+    "p1,10,15,pos, x ", "p1,10,16,pos,", "p1,10,17,pos,inf", "p1,1,1,neg,2", "p#1,10,18,pos,1",
+]
+
+
+@st.composite
+def _c_lines(draw):
+    """Valid rows, some quoted as R quotes strings, with up to three odd lines among them."""
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(["p1", "p2", " p2 ", "p#1", 'p"1']), st.integers(1, 9),
+                  st.sampled_from(["1", "2", " 3 ", "+4"]),
+                  st.sampled_from(["pos", "neg", "sample", "empty", " NEG "]),
+                  st.sampled_from(["1", "-2.5", "1e-300", "7"]), st.booleans(), st.booleans()),
+        unique_by=lambda r: (r[0].strip(), r[1], int(r[2])), max_size=10))
+    lines = []
+    for plate_id, row, col, role, value, quote_strings, space_before_id in rows:
+        if quote_strings:
+            plate_id, role = (" " if space_before_id else "") + _quoted(plate_id), _quoted(role)
+        lines.append(",".join([plate_id, str(row), col, role, "" if "empty" in role else value]))
+    for odd in draw(st.lists(st.sampled_from(_C_ODD_LINES), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    return lines
+
+
+def _c_reader_outcome(source):
+    return outcome(lambda s: [(p.plate_id, [(w.row, w.col, w.role.value, w.value)
+                                            for w in p.wells]) for p in load_plate_csv(s)],
+                   source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_c_lines(), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.sampled_from([1, 2, 3, 5, plate_module.CHUNK_ROWS]))
+def test_c_reader_gives_the_row_by_row_plates_or_error(lines, line_end, chunk_rows):
+    """R-quoted fields, odd whitespace, quotes and line ends, empty wells and numbers numpy
+    rejects give what the row-by-row oracle gives, through every kind of source."""
+    text = HEADER + "".join(line + line_end for line in lines)
+    expected = outcome(load_row_by_row, text)
+    with mock.patch.object(plate_module, "CHUNK_ROWS", chunk_rows):
+        assert _c_reader_outcome(io.StringIO(text)) == expected, text
+        assert _c_reader_outcome(("\ufeff" + text).encode("utf-8")) == expected, text
+        if line_end == "\r" and _OPEN_AT_END not in lines:
+            # A file is read with universal newlines, where a lone CR ends a line
+            # as "\n" does for the oracle (an open quoted field would keep the CR).
+            same_lines = HEADER + "".join(line + "\n" for line in lines)
+            assert (_c_reader_outcome(io.StringIO(text, newline=""))
+                    == outcome(load_row_by_row, same_lines)), text
+
+
+def test_a_quoted_line_break_across_a_chunk_boundary():
+    rows = valid_rows(3)
+    text = HEADER + f'{rows[0]}\n"p\n1",9,9,pos,1\n{rows[1]}\n{rows[2]}\n'
+    for chunk_rows in (1, 2, 3):
+        assert_same_as_row_by_row(text, chunk_rows)
+    with mock.patch.object(plate_module, "CHUNK_ROWS", 2):
+        p1, p_1 = load_text(text)
+    assert p_1.plate_id == "p\n1" and p_1.line_no.tolist() == [4]  # a row ends on its last line
+    assert p1.line_no.tolist() == [2, 5, 6]
+
+
+def _bench_layout(n_plates):
+    """Rows of 32 x 48 plates as the benchmark writes them: controls in two columns each."""
+    rng = np.random.default_rng(0)
+    return [f"plate{p:02d},{r},{c},{'neg' if c < 3 else 'pos' if c < 5 else 'sample'},"
+            f"{rng.normal()!r}" for p in range(n_plates) for c in range(1, 49)
+            for r in range(1, 33)]
+
+
+@pytest.mark.parametrize("chunk_rows", [512, plate_module.CHUNK_ROWS])
+@pytest.mark.parametrize("rows", [
+    _bench_layout(2),
+    [",".join([_quoted("p1"), str(r), str(c), _quoted("sample"), f"{r * c}.5"])
+     for r in range(1, 33) for c in range(1, 49)],
+    [f"p1,{r},{c},{'empty' if c % 4 == 0 else 'sample'},{'' if c % 4 == 0 else c / 8}"
+     for r in range(1, 33) for c in range(1, 49)],
+], ids=["bench-layout", "R-quoted", "empty-wells"])
+def test_common_files_never_reach_the_python_parser(rows, chunk_rows):
+    """Every chunk of these files is parsed by numpy's C reader, so none of them is slowed by
+    a fall back that no output would show."""
+    text = HEADER + "\n".join(rows) + "\n"
+    with mock.patch.object(plate_module, "CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(plate_module, "_python_chunk",
+                              side_effect=AssertionError("parsed by the Python fallback")):
+        plates = load_as_tuples(text)
+    assert plates == load_row_by_row(text)
+    assert sum(len(wells) for _, wells in plates) == len(rows)
