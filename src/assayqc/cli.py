@@ -9,6 +9,13 @@ metric's precondition failed, or a floating-point overflow, invalid
 operation or division by zero occurred anywhere in the command.
 ``simulate`` and ``calibrate`` write their CSVs and a manifest through
 ``scenarios.emit_run``.
+
+A start imports ``numpy``, ``errors`` and the package namespace, which holds
+what the parser needs; each subcommand imports the rest of what it uses:
+``metrics`` and ``hits`` load ``hits`` (with ``plates``, ``report``,
+``overlap``, ``samples`` and ``metrics``); ``simulate`` and ``calibrate`` load
+``scenarios`` (with ``simulation``, ``report``, ``overlap``, ``samples`` and
+``metrics``), never ``hits`` or ``plates``.
 """
 
 from __future__ import annotations
@@ -19,31 +26,16 @@ import io
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _RULE_NAMES, DEFAULT_CALIBRATION_SIZES, SCENARIO_NAMES, __version__
 from .errors import DataValidationError, MalformedRow, NonPositiveValue, NumericError
-from .hits import (
-    Direction,
-    HitReport,
-    RuleKind,
-    ThresholdRule,
-    assay_quality,
-    evaluate_threshold,
-    select_hits,
-)
-from .plates import (
-    EXPECTED_HEADER,
-    Plate,
-    WellRole,
-    load_plate_csv,
-    plates_from_rows,
-    read_csv_rows,
-)
-from .report import __version__, compute_metric_report, json_dumps
-from .samples import SampleSet
-from .scenarios import SCENARIO_NAMES, emit_run, load_config_file, run_scenario
-from .simulation import DEFAULT_CALIBRATION_SIZES, DistributionSpec, calibrate_null
+
+if TYPE_CHECKING:
+    from .plates import Plate
+    from .samples import SampleSet
 
 GROUP_HEADER = ["group", "value"]
 
@@ -98,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train", type=Path, help="plate CSV providing the controls")
     p.add_argument("--test", type=Path, default=None,
                    help="replicate plate CSV for threshold evaluation")
-    p.add_argument("--rule", choices=[k.value for k in RuleKind], default="gssmd")
+    p.add_argument("--rule", choices=_RULE_NAMES, default="gssmd")
     p.add_argument("--alpha", type=float, default=0.05, help="overlap-rule allowed overlap")
     p.add_argument("--k", type=float, default=3.0, help="sigma-rule multiplier")
     p.add_argument("--beta", type=float, default=3.0, help="ssmd-rule effect size")
@@ -120,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_group_csv(rows) -> tuple[SampleSet, SampleSet]:
     """``group,value`` rows as (neg, pos); ``SampleSet`` rejects an empty or non-finite group."""
+    from .samples import SampleSet
+
     groups: dict[str, list[float]] = {"neg": [], "pos": []}
     for line_no, (group, value_s) in rows:
         values = groups.get(group.lower())
@@ -153,6 +147,8 @@ def _report_csv(reports: list[dict]) -> str:
 
 
 def _emit(payload: dict | list, fmt: str, out: Path | None) -> None:
+    from .report import json_dumps
+
     if fmt == "csv":
         text = _report_csv(payload if isinstance(payload, list) else [payload])
     else:
@@ -165,6 +161,10 @@ def _emit(payload: dict | list, fmt: str, out: Path | None) -> None:
 
 
 def _cmd_metrics(args) -> int:
+    from .hits import assay_quality
+    from .plates import EXPECTED_HEADER, plates_from_rows, read_csv_rows
+    from .report import compute_metric_report
+
     with read_csv_rows(args.input, [EXPECTED_HEADER, GROUP_HEADER]) as (header, rows):
         if header == GROUP_HEADER:
             payload = compute_metric_report(*_load_group_csv(rows), bins=args.bins).to_dict()
@@ -177,6 +177,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .scenarios import load_config_file, run_scenario
+
     overrides = load_config_file(args.config) if args.config else None
     written = run_scenario(args.scenario, args.seed, args.out_dir, overrides, args.bins)
     for path in written:
@@ -187,6 +189,8 @@ def _cmd_simulate(args) -> int:
 def _load_plate(path: Path, plate_id: str | None, log_transform: bool) -> Plate:
     """The file's first plate, or the one named ``plate_id``; with ``--log-transform``,
     the natural log of every well value, all of which must be > 0."""
+    from .plates import WellRole, load_plate_csv
+
     plates = load_plate_csv(path)
     plate = next((p for p in plates if plate_id in (None, p.plate_id)), None)
     if plate is None:
@@ -204,6 +208,8 @@ def _load_plate(path: Path, plate_id: str | None, log_transform: bool) -> Plate:
 
 
 def _cmd_hits(args) -> int:
+    from .hits import Direction, RuleKind, ThresholdRule, evaluate_threshold, select_hits
+
     rule_kind = RuleKind(args.rule)
     parameter = {
         RuleKind.GSSMD_OVERLAP: args.alpha,
@@ -215,7 +221,7 @@ def _cmd_hits(args) -> int:
 
     plate = _load_plate(args.train, args.plate_id, args.log_transform)
     forced = None if args.direction == "auto" else Direction(args.direction)
-    report: HitReport = select_hits(plate, rule, bins=args.bins, direction=forced)
+    report = select_hits(plate, rule, bins=args.bins, direction=forced)
     if forced is not None and report.direction is not forced:
         print(
             f"note: requested direction {args.direction!r} disagrees with the "
@@ -241,6 +247,9 @@ def _cmd_hits(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .scenarios import emit_run
+    from .simulation import DistributionSpec, calibrate_null
+
     dist = DistributionSpec(args.dist, args.location, args.scale)
     table = calibrate_null(args.sizes, args.trials, dist, args.seed, bins=args.bins)
     columns = ["dist", "n", "mean", "variance", "min", "max", "p95", "p99", "p999",

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _RULE_NAMES
 from .errors import (
     DegenerateVariance,
     InsufficientControls,
@@ -46,10 +47,7 @@ class Direction(str, Enum):
 
 
 class RuleKind(str, Enum):
-    GSSMD_OVERLAP = "gssmd"
-    SIGMA = "sigma"
-    SSMD = "ssmd"
-    LOGISTIC = "logistic"
+    GSSMD_OVERLAP, SIGMA, SSMD, LOGISTIC = _RULE_NAMES
 
 
 @dataclass(frozen=True)

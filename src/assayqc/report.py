@@ -16,12 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import metrics
+from . import __version__, metrics
 from .errors import NumericError
 from .overlap import gssmd as overlap_gssmd
 from .samples import SampleSet, summarize
-
-__version__ = "0.1.0"
 
 #: Conventional acceptance levels: Z' >= 0.5, |SSMD| >= 3, |GSSMD| >= 0.95.
 ACCEPTANCE_THRESHOLDS = {"z_factor": 0.5, "ssmd": 3.0, "gssmd": 0.95}

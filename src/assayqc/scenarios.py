@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import SCENARIO_NAMES
 from .errors import ConfigError, UnknownScenario
 from .report import RunManifest, json_dumps
 from .samples import SampleSet
@@ -36,8 +37,6 @@ from .simulation import (
     run_outlier_sweep,
     run_subsampled_estimate,
 )
-
-SCENARIO_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
 _DEFAULTS: dict[str, dict] = {
     "fig1": {

@@ -548,10 +548,6 @@ def run_subsampled_estimate(
 # --- null calibration --------------------------------------------------------
 
 
-#: Documented default size grid for null-lower-bound calibration.
-DEFAULT_CALIBRATION_SIZES = (3, 10, 30, 100, 300, 1_000, 10_000, 100_000, 1_000_000)
-
-
 @dataclass(frozen=True)
 class NullCalibrationRow:
     """Moments and upper percentiles of |GSSMD| at one sample size.
@@ -624,11 +620,15 @@ def calibrate_null(
     if len(set(sizes)) < len(sizes):
         raise ConfigError(f"calibration sizes {list(sizes)} repeat a size; each must appear once")
     if trials < 100:
-        raise ConfigError("calibration needs at least 100 trials")
+        raise ConfigError(f"calibration trials must be >= 100, got {trials!r}")
 
     rows = []
     for i, n in enumerate(sizes):
-        signed = _null_gssmd(dist, n, trials, seed, i, bins)
+        try:
+            signed = _null_gssmd(dist, n, trials, seed, i, bins)
+        except FloatingPointError as exc:  # under np.errstate(..., "raise"), as in the CLI
+            raise NumericError(f"location {dist.location!r} and scale {dist.scale!r}: null "
+                               f"draws at n = {n} leave the float range ({exc})") from None
         abs_vals = np.abs(signed)
         p95, p99, p999 = np.percentile(abs_vals, [95.0, 99.0, 99.9])
         rows.append(NullCalibrationRow(

@@ -565,6 +565,42 @@ def test_config_value_that_cannot_run_or_be_recorded_exits_2(tmp_path, capsys, c
     assert not out.exists()
 
 
+def _calibration_argv(tmp_path, command, config):
+    """Null calibration at n = 3 from ``command`` (calibrate flags, or fig6 and its config)."""
+    argv = command + ["--seed", "1", "--out-dir", str(tmp_path / "out")]
+    if command[0] == "calibrate":
+        return argv + ["--sizes", "3"] + ([] if "--trials" in command else ["--trials", "100"])
+    (tmp_path / "cfg.json").write_text(json.dumps({"trials": 100, "sizes": [3], **config}))
+    return argv + ["--config", str(tmp_path / "cfg.json")]
+
+
+@pytest.mark.parametrize("command, config, named", [
+    (["simulate", "fig6"], {"location": 1e308}, "location 1e+308"),
+    (["simulate", "fig6"], {"location": float("-inf")}, "location -inf"),
+    (["simulate", "fig6"], {"scale": 1e308}, "scale 1e+308"),
+    (["simulate", "fig6"], {"scale": float("inf")}, "scale inf"),
+    (["calibrate", "--location", "inf"], None, "location inf"),
+    (["calibrate", "--scale", "1e308"], None, "scale 1e+308"),
+], ids=["fig6-location-1e308", "fig6-location--inf", "fig6-scale-1e308", "fig6-scale-inf",
+        "calibrate-location-inf", "calibrate-scale-1e308"])
+def test_null_draws_out_of_float_range_name_the_key_and_exit_3(tmp_path, capsys, command,
+                                                               config, named):
+    assert main(_calibration_argv(tmp_path, command, config)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1 and named in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    (["simulate", "fig6"], {"trials": 50}),
+    (["calibrate", "--trials", "50"], None),
+], ids=["fig6", "calibrate"])
+def test_too_few_calibration_trials_names_the_key(tmp_path, capsys, command, config):
+    assert main(_calibration_argv(tmp_path, command, config)) == 2
+    assert capsys.readouterr().err == "error: calibration trials must be >= 100, got 50\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["metrics", "{tmp}/in.csv", "--out-dir", "{tmp}/x"],
     ["hits", "{tmp}/in.csv", "--out-dir", "{tmp}/x"],
