@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 SCENARIO_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 DEFAULT_CALIBRATION_SIZES = (3, 10, 30, 100, 300, 1_000, 10_000, 100_000, 1_000_000)
 _RULE_NAMES = ("gssmd", "sigma", "ssmd", "logistic")  # hits.RuleKind values
+_DIST_NAMES = ("normal", "lognormal")  # simulation.NORMAL, LOGNORMAL
 
 # Each submodule and the public names it exports here.
 _EXPORTS = {

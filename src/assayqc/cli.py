@@ -12,10 +12,11 @@ operation or division by zero occurred anywhere in the command.
 
 A start imports ``numpy``, ``errors`` and the package namespace, which holds
 what the parser needs; each subcommand imports the rest of what it uses:
-``metrics`` and ``hits`` load ``hits`` (with ``plates``, ``report``,
-``overlap``, ``samples`` and ``metrics``); ``simulate`` and ``calibrate`` load
-``scenarios`` (with ``simulation``, ``report``, ``overlap``, ``samples`` and
-``metrics``), never ``hits`` or ``plates``.
+``hits``, and ``metrics`` on a plate file, load ``hits`` (with ``plates``,
+``report``, ``overlap``, ``samples`` and ``metrics``); ``metrics`` on a
+``group,value`` file loads the same but ``hits``; ``simulate`` and
+``calibrate`` load ``scenarios`` (with ``simulation``, ``report``, ``overlap``,
+``samples`` and ``metrics``), never ``hits`` or ``plates``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _RULE_NAMES, DEFAULT_CALIBRATION_SIZES, SCENARIO_NAMES, __version__
+from . import _DIST_NAMES, _RULE_NAMES, DEFAULT_CALIBRATION_SIZES, SCENARIO_NAMES, __version__
 from .errors import DataValidationError, MalformedRow, NonPositiveValue, NumericError
 
 if TYPE_CHECKING:
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train", type=Path, help="plate CSV providing the controls")
     p.add_argument("--test", type=Path, default=None,
                    help="replicate plate CSV for threshold evaluation")
-    p.add_argument("--rule", choices=_RULE_NAMES, default="gssmd")
+    p.add_argument("--rule", choices=_RULE_NAMES, default=_RULE_NAMES[0])
     p.add_argument("--alpha", type=float, default=0.05, help="overlap-rule allowed overlap")
     p.add_argument("--k", type=float, default=3.0, help="sigma-rule multiplier")
     p.add_argument("--beta", type=float, default=3.0, help="ssmd-rule effect size")
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_u64, required=True)
     p.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_CALIBRATION_SIZES))
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--dist", choices=["normal", "lognormal"], default="normal")
+    p.add_argument("--dist", choices=_DIST_NAMES, default=_DIST_NAMES[0])
     p.add_argument("--location", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
     return parser
@@ -127,6 +128,8 @@ def _load_group_csv(rows) -> tuple[SampleSet, SampleSet]:
 
 
 def _report_csv(reports: list[dict]) -> str:
+    from .report import text12
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -138,7 +141,7 @@ def _report_csv(reports: list[dict]) -> str:
         elif isinstance(obj, list):
             writer.writerow([prefix, ";".join(str(v) for v in obj)])
         else:
-            value = f"{obj:.12g}" if isinstance(obj, float) else obj
+            value = text12(obj) if isinstance(obj, float) else obj
             writer.writerow([prefix, value])
 
     for report in reports:
@@ -161,7 +164,6 @@ def _emit(payload: dict | list, fmt: str, out: Path | None) -> None:
 
 
 def _cmd_metrics(args) -> int:
-    from .hits import assay_quality
     from .plates import EXPECTED_HEADER, plates_from_rows, read_csv_rows
     from .report import compute_metric_report
 
@@ -169,6 +171,8 @@ def _cmd_metrics(args) -> int:
         if header == GROUP_HEADER:
             payload = compute_metric_report(*_load_group_csv(rows), bins=args.bins).to_dict()
         else:
+            from .hits import assay_quality
+
             reports = [{"plate_id": p.plate_id, **assay_quality(p, bins=args.bins).to_dict()}
                        for p in plates_from_rows(rows)]
             payload = reports if len(reports) > 1 else reports[0]

@@ -25,9 +25,14 @@ from .samples import SampleSet, summarize
 ACCEPTANCE_THRESHOLDS = {"z_factor": 0.5, "ssmd": 3.0, "gssmd": 0.95}
 
 
+def text12(x: float) -> str:
+    """``x`` as text to 12 significant digits, the precision of every float written."""
+    return f"{x:.12g}"
+
+
 def round12(x: float) -> float:
     """Round to 12 significant digits (the serialization precision)."""
-    return float(f"{x:.12g}")
+    return float(text12(x))
 
 
 def _normalize(obj):

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import SCENARIO_NAMES
+from . import _DIST_NAMES, SCENARIO_NAMES
 from .errors import ConfigError, UnknownScenario
-from .report import RunManifest, json_dumps
+from .report import RunManifest, json_dumps, text12
 from .samples import SampleSet
 from .simulation import (
     DistributionSpec,
@@ -77,7 +77,7 @@ _DEFAULTS: dict[str, dict] = {
     "fig6": {
         "sizes": [3, 10, 30, 100, 300, 1000, 10000],
         "trials": 2000,
-        "dists": ["normal", "lognormal"],
+        "dists": list(_DIST_NAMES),
         "location": 0.0,
         "scale": 1.0,
     },
@@ -120,10 +120,10 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
     repeats a value (its runs would write one file or row twice), a sample
     size in fig6 ``sizes`` or fig4/fig5 ``panel_c_sizes`` that is not an
     integer (it would be truncated), a sample size of 2**63 or more (no
-    array is that long) and a ``panel_c_sizes`` size below 2 (a panel C
-    sweep needs two values a group; checked here, before panel A runs). Value
-    ranges, such as a NaN location, are checked when the run builds its
-    ``ScenarioConfig``/``DistributionSpec``.
+    array is that long), a ``panel_c_sizes`` size below 2 (a panel C
+    sweep needs two values a group; checked here, before panel A runs) and a
+    ``subsample_repeats`` below 1. Value ranges, such as a NaN location, are
+    checked when the run builds its ``ScenarioConfig``/``DistributionSpec``.
     """
     cfg = default_config(name)
     for key, value in (overrides or {}).items():
@@ -152,6 +152,9 @@ def resolve_config(name: str, overrides: dict | None = None) -> dict:
         if key == "panel_c_sizes" and min(value) < 2:
             raise ConfigError(f"config key {key!r} for scenario {name} must hold sizes >= 2, "
                               f"got {value!r}")
+        if key == "subsample_repeats" and value < 1:
+            raise ConfigError(f"config key {key!r} for scenario {name} must be >= 1, "
+                              f"got {value!r}")
         cfg[key] = value
     return cfg
 
@@ -176,9 +179,7 @@ def _panel_seed(master: int, *key: int) -> int:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    return text12(value) if isinstance(value, float) else str(value)
 
 
 def write_tidy_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
@@ -323,7 +324,7 @@ def _subsample_panel(cfg: dict, seed: int, bins: int | None) -> list[GridPoint]:
 
 
 def _run_fig5(cfg: dict, seed: int, bins: int | None):
-    # Panel D's subsample checks come before any trial, after panel A's config checks.
+    # Panel D's subsample size check comes before any trial, after panel A's config checks.
     _noise_config(cfg, cfg["n"], seed, bins)
     _check_subsample(cfg["subsample_size"], cfg["subsample_repeats"], cfg["n"])
     files = _run_noise_figure("fig5", cfg, seed, bins)

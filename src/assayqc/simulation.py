@@ -17,13 +17,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import metrics
+from . import _DIST_NAMES, metrics
 from .errors import ConfigError, InvalidSubsampleSize, NumericError, ZeroPowerSignal
 from .overlap import _gssmd_from_arrays, _gssmd_rows
 from .samples import SampleSet, SummaryStats
 
-NORMAL = "normal"
-LOGNORMAL = "lognormal"
+NORMAL, LOGNORMAL = _DIST_NAMES
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class DistributionSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (NORMAL, LOGNORMAL):
+        if self.kind not in _DIST_NAMES:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
         if not self.scale > 0:
             raise ConfigError("distribution scale must be positive")
@@ -312,73 +311,62 @@ def _trial_generators(
 _CALIBRATION_CHUNK_VALUES = 2 ** 14
 
 
-def _trial_chunks(
-    seed: int, cells: list[tuple[tuple[int, ...], tuple]], trials: int, streams: int,
-    trial: Callable[..., tuple[np.ndarray, ...]],
-) -> Iterator[list[np.ndarray]]:
-    """The rows of every trial of every ``(indices, values)`` cell, in chunks.
-
-    Trial ``t`` of a cell returns its row ``trial(*values, rngs)``, a tuple of
-    1-D arrays, with ``rngs`` from ``_trial_generators``. A chunk holds about
-    ``_CALIBRATION_CHUNK_VALUES`` values of consecutive trials, and at least
-    one row; it is yielded as one C-ordered ``(rows, size)`` block per part.
-    If a trial raises, the rows before it are yielded first.
-    """
-    generators = _trial_generators(seed, [indices for indices, _ in cells], trials, streams)
-    rows, chunk = [], 0
-    for _, values in cells:
-        for _ in range(trials):
-            try:
-                row = trial(*values, next(generators))
-            except Exception:
-                if rows:
-                    yield _blocks(rows)
-                raise
-            rows.append(row)
-            chunk = chunk or max(1, _CALIBRATION_CHUNK_VALUES // sum(part.size for part in row))
-            if len(rows) == chunk:
-                yield _blocks(rows)
-                rows = []
-    if rows:
-        yield _blocks(rows)
-
-
-def _blocks(rows: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
-    """One (rows, size) block per part of the rows; a lone row's parts become views."""
-    return [parts[0][None] if len(parts) == 1 else np.array(parts) for parts in zip(*rows)]
-
-
 def _grid_scores(
     seed: int, cells: list[tuple[tuple[int, ...], tuple]], trials: int, streams: int,
     trial: Callable[..., tuple[np.ndarray, ...]], score: Callable[..., dict[str, np.ndarray]],
 ) -> Iterator[tuple[tuple, dict[str, np.ndarray]]]:
-    """Each cell's values with its trials' metric columns ``{name: values}``, cell by cell.
+    """Each ``(indices, values)`` cell's values with its trials' metric columns, cell by cell.
 
-    ``score(*blocks)`` gives the metric columns of the rows of a chunk from
-    ``_trial_chunks``. As trial by trial, a failing trial raises only after
-    every cell before it has been yielded, and raises what it raises scored on
-    its own: a chunk that fails to score is scored again row by row.
+    Trial ``t`` of a cell returns its row ``trial(*values, rngs)``, a tuple of
+    1-D arrays, with ``rngs`` from ``_trial_generators``. A chunk holds about
+    ``_CALIBRATION_CHUNK_VALUES`` values of consecutive trials, and at least
+    one row, stacked into one C-ordered ``(rows, size)`` block per part;
+    ``score(*blocks)`` gives its metric columns ``{name: values}``, which fill
+    the current cell's ``trials`` values a metric. As trial by trial, a
+    failing trial raises only after every cell before it has been yielded,
+    and raises what it raises on its own: the rows drawn before a failing
+    draw are scored first, and a chunk that fails to score is scored again
+    row by row.
     """
-    values = (v for _, v in cells)
-    pending, rows = [], 0  # scored columns not yet yielded, and their row count
-    for blocks in _trial_chunks(seed, cells, trials, streams, trial):
+    def scored(rows: list[tuple[np.ndarray, ...]]) -> Iterable[dict[str, np.ndarray]]:
+        """The metric columns of a chunk's rows: in one part, or one part a row if that fails."""
+        blocks = [parts[0][None] if len(parts) == 1 else np.array(parts) for parts in zip(*rows)]
         try:
-            scored = [score(*blocks)]
+            return [score(*blocks)]
         except Exception:
-            if len(blocks[0]) == 1:
+            if len(rows) == 1:
                 raise
-            scored = (score(*(block[r:r + 1] for block in blocks)) for r in range(len(blocks[0])))
-        for columns in scored:
-            pending.append(columns)
-            rows += len(next(iter(columns.values())))
-            if rows < trials:
-                continue
-            merged = {name: np.concatenate([p[name] for p in pending]) for name in columns}
-            start = 0
-            while rows - start >= trials:
-                yield next(values), {name: col[start:start + trials] for name, col in merged.items()}
-                start += trials
-            pending, rows = [{name: col[start:] for name, col in merged.items()}], rows - start
+            return (score(*(block[r:r + 1] for block in blocks)) for r in range(len(rows)))
+
+    generators = _trial_generators(seed, [indices for indices, _ in cells], trials, streams)
+    drawn = (trial(*values, next(generators)) for _, values in cells for _ in range(trials))
+    full = (values for _, values in cells)  # each cell's values, yielded once its columns fill
+    columns, filled, chunk, failure = {}, 0, 0, None
+    while failure is None:
+        rows = []
+        try:
+            for row in drawn:
+                rows.append(row)
+                chunk = chunk or max(1, _CALIBRATION_CHUNK_VALUES // sum(p.size for p in row))
+                if len(rows) == chunk:
+                    break
+        except Exception as exc:  # the rows drawn before it are scored first
+            failure = exc
+        if not rows:
+            break
+        for part in scored(rows):
+            size, done = len(next(iter(part.values()))), 0
+            while done < size:
+                columns = columns or {name: np.empty(trials) for name in part}
+                take = min(size - done, trials - filled)
+                for name, col in part.items():
+                    columns[name][filled:filled + take] = col[done:done + take]
+                filled, done = filled + take, done + take
+                if filled == trials:
+                    yield next(full), columns
+                    columns, filled = {}, 0
+    if failure is not None:
+        raise failure
 
 
 def _overlap_rows(
@@ -386,11 +374,11 @@ def _overlap_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """GSSMD and OVL of every row pair, with the bits of ``_gssmd_from_arrays``.
 
-    Rows go through ``_gssmd_rows``; a lone row, and every row where fewer
-    than two fit a chunk, goes pair by pair, where the per-pair kernel is
-    faster (and raises as the per-trial path does).
+    Rows go through ``_gssmd_rows``; a lone row (as when two rows do not fit
+    a chunk, or a row is scored again on its own) goes pair by pair, where
+    the per-pair kernel is faster (and raises as the per-trial path does).
     """
-    if len(neg) > 1 and _CALIBRATION_CHUNK_VALUES // (neg.shape[1] + pos.shape[1]) > 1:
+    if len(neg) > 1:
         ovl = np.empty(len(neg))
         return _gssmd_rows(neg, pos, bins, ovl), ovl
     pairs = [_gssmd_from_arrays(a, b, bins) for a, b in zip(neg, pos)]
@@ -576,26 +564,6 @@ class NullCalibrationTable:
     dist: DistributionSpec
 
 
-def _null_gssmd(
-    dist: DistributionSpec, n: int, trials: int, seed: int, i: int, bins: int | None
-) -> np.ndarray:
-    """Signed GSSMD of ``trials`` null pairs of size ``n``, the ``i``-th size.
-
-    Trial ``t`` draws its groups from ``derive_seed(seed, i, t, 0|1)``. The
-    trials are rows of one grid cell, scored by the overlap part of
-    ``_score_rows`` (its gssmd column): a null pair of one value, or of equal
-    means, has no z_factor or ssmd, but it has a GSSMD.
-    """
-    def trial(rngs):
-        return _sample(dist, n, rngs[0]), _sample(dist, n, rngs[1])
-
-    def score(neg, pos):
-        return {"gssmd": _overlap_rows(neg, pos, bins)[0]}
-
-    [(_, columns)] = _grid_scores(seed, [((i,), ())], trials, 2, trial, score)
-    return columns["gssmd"]
-
-
 def calibrate_null(
     sizes: Iterable[int],
     trials: int,
@@ -622,13 +590,20 @@ def calibrate_null(
     if trials < 100:
         raise ConfigError(f"calibration trials must be >= 100, got {trials!r}")
 
+    def trial(n, rngs):
+        return _sample(dist, n, rngs[0]), _sample(dist, n, rngs[1])
+
+    def score(neg, pos):  # a null pair of one value has a GSSMD but no SSMD
+        return {"gssmd": _overlap_rows(neg, pos, bins)[0]}
+
     rows = []
     for i, n in enumerate(sizes):
         try:
-            signed = _null_gssmd(dist, n, trials, seed, i, bins)
+            [(_, columns)] = _grid_scores(seed, [((i,), (n,))], trials, 2, trial, score)
         except FloatingPointError as exc:  # under np.errstate(..., "raise"), as in the CLI
             raise NumericError(f"location {dist.location!r} and scale {dist.scale!r}: null "
                                f"draws at n = {n} leave the float range ({exc})") from None
+        signed = columns["gssmd"]
         abs_vals = np.abs(signed)
         p95, p99, p999 = np.percentile(abs_vals, [95.0, 99.0, 99.9])
         rows.append(NullCalibrationRow(

@@ -339,7 +339,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("config, message", [
         ({"subsample_size": 1000}, "error: subsample size 1000 not in [1, 100]\n"),
-        ({"subsample_repeats": 0}, "error: repeats must be >= 1\n"),
+        ({"subsample_repeats": 0},
+         "error: config key 'subsample_repeats' for scenario fig5 must be >= 1, got 0\n"),
     ])
     def test_fig5_subsample_config_fails_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                           config, message):

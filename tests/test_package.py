@@ -142,14 +142,19 @@ PLATE_SIDE = {"assayqc.hits", "assayqc.plates"}
     (None, set(), SIMULATION_SIDE | PLATE_SIDE),
     (["--version"], set(), SIMULATION_SIDE | PLATE_SIDE),
     (["metrics", "plate.csv"], PLATE_SIDE, SIMULATION_SIDE),
+    (["metrics", "group.csv"], {"assayqc.plates", "assayqc.report"},
+     SIMULATION_SIDE | {"assayqc.hits"}),
     (["hits", "plate.csv", "--rule", "sigma"], PLATE_SIDE, SIMULATION_SIDE),
     (["simulate", "fig1", "--seed", "1", "--config", "fig1.json", "--out-dir", "fig1"],
      SIMULATION_SIDE, PLATE_SIDE),
     (["calibrate", "--seed", "1", "--sizes", "3", "--trials", "100", "--out-dir", "cal"],
      SIMULATION_SIDE, PLATE_SIDE),
-], ids=["build_parser", "version", "metrics", "hits", "simulate", "calibrate"])
+], ids=["build_parser", "version", "metrics", "metrics_group", "hits", "simulate",
+        "calibrate"])
 def test_a_start_loads_only_its_subcommands_modules(tmp_path, argv, loads, skips):
     (tmp_path / "plate.csv").write_text(PLATE)
+    (tmp_path / "group.csv").write_text("group,value\nneg,0.1\nneg,0.3\nneg,0.2\n"
+                                        "pos,5.1\npos,5.3\npos,5.2\n")
     (tmp_path / "fig1.json").write_text(
         json.dumps({"n": 20, "trials": 1, "mu_diffs": [1], "sigmas": [1]}))
     env = dict(os.environ)

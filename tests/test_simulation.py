@@ -307,6 +307,12 @@ class TestSubsampledEstimate:
         with pytest.raises(InvalidSubsampleSize):
             run_subsampled_estimate(base, base, 0, 1, 0)
 
+    def test_repeats_validation_keeps_the_library_message(self):
+        # The CLI names the config key; a library caller gets the argument's message.
+        base = draw(NORMAL, 50, 1)
+        with pytest.raises(ConfigError, match=r"^repeats must be >= 1$"):
+            run_subsampled_estimate(base, base, 5, 0, 0)
+
 
 class TestCalibrateNull:
     def test_deterministic(self):
