@@ -251,20 +251,19 @@ def _cmd_hits(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from .scenarios import emit_run
+    from .scenarios import _check_config, emit_run
     from .simulation import DistributionSpec, calibrate_null
 
+    config = {"sizes": args.sizes, "trials": args.trials, "dist": args.dist,
+              "location": args.location, "scale": args.scale}
+    _check_config(config, "calibrate flag --{}")  # fig6's rules, in the same words
     dist = DistributionSpec(args.dist, args.location, args.scale)
     table = calibrate_null(args.sizes, args.trials, dist, args.seed, bins=args.bins)
     columns = ["dist", "n", "mean", "variance", "min", "max", "p95", "p99", "p999",
                "mean_signed"]
     rows = [{"dist": args.dist, **asdict(row)} for row in table.rows]
-    config = {
-        "sizes": list(args.sizes), "trials": args.trials, "dist": args.dist,
-        "location": args.location, "scale": args.scale, "bins": args.bins,
-    }
     written = emit_run(args.out_dir, {"null_calibration.csv": (columns, rows)},
-                       "calibrate", config, args.seed)
+                       "calibrate", {**config, "bins": args.bins}, args.seed)
     print(written[0], file=sys.stderr)
     return 0
 

@@ -12,21 +12,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import _DIST_NAMES, SCENARIO_NAMES
 from .errors import ConfigError, UnknownScenario
-from .report import RunManifest, json_dumps, text12
+from .report import RunManifest, text12
 from .samples import SampleSet
 from .simulation import (
     DistributionSpec,
     GridPoint,
     ScenarioConfig,
     ScenarioResult,
-    _check_sample_sizes,
-    _check_subsample,
     _run_grid,
     add_awgn,
     calibrate_null,
@@ -90,72 +90,84 @@ def default_config(name: str) -> dict:
     return json.loads(json.dumps(_DEFAULTS[name]))
 
 
-# JSON types a scalar default admits for an override, never counting a bool.
-_ADMITS = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
+# Each key's rule: the JSON type of its value, or [type] for a list of them, then
+# its bounds as its error states them, "op limit", the limit a JSON value or the
+# key that holds it. A bool is never a number, a number is finite, an integer is
+# below 2**63 (no array is longer), and a list is non-empty (no empty tables) and
+# holds each value once. It serves every scenario, a replayed ``bins`` and the
+# calibrate flags; ScenarioConfig and the other models keep checks for library calls.
+_RULES = {
+    "n": (int, ">= 2"),
+    "trials": (int, ">= 1"),  # calibrate_null keeps its own floor of 100
+    "mu_diffs": ([float],),
+    "sigmas": ([float], "> 0"),
+    "shape": (float, "> 0"),
+    "fractions": ([float], ">= 0", "<= 1"),
+    "outlier_means": ([float],),
+    "outlier_scale": (float, "> 0"),
+    "snr_db": ([float],),
+    "panel_c_sizes": ([int], ">= 2"),  # a panel C sweep needs two values a group
+    "subsample_size": (int, ">= 2", "<= n"),  # a one-value subsample has no variance
+    "subsample_repeats": (int, ">= 1"),
+    "sizes": ([int], ">= 1"),
+    "dists": ([str], f"in {json.dumps(_DIST_NAMES)}"),
+    "dist": (str, f"in {json.dumps(_DIST_NAMES)}"),
+    "location": (float,),
+    "scale": (float, "> 0"),
+    "bins": (int, ">= 1"),  # or null, the 1+log2(N) rule
 }
+_TYPES = {  # each JSON type: whether a value has it, its name, and a list's name
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**63,
+          "an integer under 2**63", "a list of integers under 2**63"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max, "a finite number", "a list of finite numbers"),
+    str: (lambda v: isinstance(v, str), "a string", "a list of strings"),
+}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le,
+            "in": lambda value, allowed: value in allowed}
 
 
-def _expected_type(default, value) -> str | None:
-    """None if ``value`` has the JSON type of ``default``, else the name of that type.
+def _check_config(cfg: dict, subject: str) -> None:
+    """Raise ``ConfigError`` for the first value of ``cfg`` that breaks its rule in ``_RULES``.
 
-    A list default takes a list of numbers, or of strings where its own are.
+    ``subject.format(key)`` names the key, as ``"config key {!r} for scenario
+    fig1"`` and ``"calibrate flag --{}"`` do.
     """
-    if isinstance(default, list):
-        item = default[0] if isinstance(default[0], str) else 0.0
-        if isinstance(value, list) and not any(_expected_type(item, v) for v in value):
-            return None
-        return "a list of strings" if isinstance(item, str) else "a list of numbers"
-    types, name = _ADMITS[type(default)]
-    return None if isinstance(value, types) and not isinstance(value, bool) else name
+    for key, value in cfg.items():
+        (kind, *bounds), what = _RULES[key], subject.format(key)
+        many, items = isinstance(kind, list), (value if isinstance(value, list) else [value])
+        has_type, *names = _TYPES[kind[0] if many else kind]
+        if many is not isinstance(value, list) or not all(map(has_type, items)):
+            raise ConfigError(f"{what} must be {names[many]}, got {value!r}")
+        if not items:
+            raise ConfigError(f"{what} must be a non-empty list, got []")
+        repeated = [v for i, v in enumerate(items) if v in items[:i]]
+        if repeated:  # its runs would write one file or row twice
+            raise ConfigError(f"{what} repeats {repeated[0]!r}; each grid value must appear once")
+        for bound in bounds:
+            op, name = bound.split(" ", 1)
+            limit = cfg[name] if name in cfg else json.loads(name)
+            if not all(_COMPARE[op](v, limit) for v in items):
+                held_as = f"hold {'sizes' if kind == [int] else 'values'}" if many else "be"
+                shown = f" ({limit})" if name in cfg else ""
+                raise ConfigError(f"{what} must {held_as} {bound}{shown}, got {value!r}")
 
 
 def resolve_config(name: str, overrides: dict | None = None) -> dict:
-    """Merge a user config over the scenario defaults.
+    """Merge a user config over the scenario defaults; check it, before any trial runs.
 
-    Raises ``ConfigError`` for an unknown key, a value without the JSON type
-    of its default, an empty list (it would write empty tables), a list that
-    repeats a value (its runs would write one file or row twice), a sample
-    size in fig6 ``sizes`` or fig4/fig5 ``panel_c_sizes`` that is not an
-    integer (it would be truncated), a sample size of 2**63 or more (no
-    array is that long), a ``panel_c_sizes`` size below 2 (a panel C
-    sweep needs two values a group; checked here, before panel A runs) and a
-    ``subsample_repeats`` below 1. Value ranges, such as a NaN location, are
-    checked when the run builds its ``ScenarioConfig``/``DistributionSpec``.
+    Raises ``ConfigError`` for an unknown key, then names the first key, in
+    the defaults' order, whose value breaks its rule in ``_RULES``.
     """
-    cfg = default_config(name)
-    for key, value in (overrides or {}).items():
-        if key == "scenario":
-            if value != name:
-                raise ConfigError(f"config is for scenario {value!r}, not {name!r}")
-            continue
+    cfg, overrides = default_config(name), dict(overrides or {})
+    scenario = overrides.pop("scenario", name)
+    if scenario != name:
+        raise ConfigError(f"config is for scenario {scenario!r}, not {name!r}")
+    for key in overrides:
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r} for scenario {name}")
-        expected = _expected_type(cfg[key], value)
-        if expected is None and value == []:
-            expected = "a non-empty list"
-        elif (expected is None and key in ("sizes", "panel_c_sizes")
-              and any(_expected_type(1, v) for v in value)):
-            expected = "a list of integers"
-        if expected is not None:
-            raise ConfigError(f"config key {key!r} for scenario {name} must be {expected}, "
-                              f"got {value!r}")
-        if isinstance(value, list):
-            repeated = [v for i, v in enumerate(value) if v in value[:i]]
-            if repeated:
-                raise ConfigError(f"config key {key!r} for scenario {name} repeats "
-                                  f"{repeated[0]!r}; each grid value must appear once")
-        if key in ("n", "sizes", "panel_c_sizes"):
-            _check_sample_sizes(f"config key {key!r} for scenario {name}", value)
-        if key == "panel_c_sizes" and min(value) < 2:
-            raise ConfigError(f"config key {key!r} for scenario {name} must hold sizes >= 2, "
-                              f"got {value!r}")
-        if key == "subsample_repeats" and value < 1:
-            raise ConfigError(f"config key {key!r} for scenario {name} must be >= 1, "
-                              f"got {value!r}")
-        cfg[key] = value
+    cfg.update(overrides)
+    _check_config(cfg, f"config key {{!r}} for scenario {name}")
     return cfg
 
 
@@ -164,7 +176,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text must be UTF-8
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long for Python to read
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
@@ -324,9 +336,6 @@ def _subsample_panel(cfg: dict, seed: int, bins: int | None) -> list[GridPoint]:
 
 
 def _run_fig5(cfg: dict, seed: int, bins: int | None):
-    # Panel D's subsample size check comes before any trial, after panel A's config checks.
-    _noise_config(cfg, cfg["n"], seed, bins)
-    _check_subsample(cfg["subsample_size"], cfg["subsample_repeats"], cfg["n"])
     files = _run_noise_figure("fig5", cfg, seed, bins)
     points = _subsample_panel(cfg, _panel_seed(seed, 2), bins)
     extra = {"subsample_size": cfg["subsample_size"], "repeats": cfg["subsample_repeats"]}
@@ -344,16 +353,11 @@ def _run_fig6(cfg: dict, seed: int, bins: int | None):
         dist = DistributionSpec(dist_kind, float(cfg["location"]), float(cfg["scale"]))
         table = calibrate_null(cfg["sizes"], cfg["trials"], dist, _panel_seed(seed, k), bins)
         for r in table.rows:
-            for agg_name in ("mean", "variance", "min", "max", "p95", "p99", "p999"):
-                rows.append({
-                    "scenario": "fig6", "dist": dist_kind, "n": r.n,
-                    "metric": "abs_gssmd", "aggregate": agg_name,
-                    "value": getattr(r, agg_name),
-                })
-            rows.append({
-                "scenario": "fig6", "dist": dist_kind, "n": r.n,
-                "metric": "gssmd", "aggregate": "mean", "value": r.mean_signed,
-            })
+            cells = [("abs_gssmd", agg_name, getattr(r, agg_name))
+                     for agg_name in ("mean", "variance", "min", "max", "p95", "p99", "p999")]
+            for metric, agg_name, value in [*cells, ("gssmd", "mean", r.mean_signed)]:
+                rows.append({"scenario": "fig6", "dist": dist_kind, "n": r.n,
+                             "metric": metric, "aggregate": agg_name, "value": value})
     return {
         "fig6_null_calibration.csv": (
             ["scenario", "dist", "n", "metric", "aggregate", "value"],
@@ -378,15 +382,10 @@ def emit_run(
 ) -> list[Path]:
     """Write each ``filename: (columns, rows)`` table as a CSV, then manifest.json.
 
-    The manifest records the sha256 of every CSV; a config value it cannot
-    hold (an infinite number) raises ``ConfigError`` before any file is
-    written. Returns the written paths (manifest last).
+    The manifest records the sha256 of every CSV and ``config``, whose values
+    its callers have checked against ``_RULES``: every number is finite, so
+    the manifest can hold it. Returns the written paths (manifest last).
     """
-    for key, value in config.items():  # the manifest must be able to record the run
-        try:
-            json_dumps(value)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be finite, got {value!r}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -418,11 +417,10 @@ def run_scenario(
     overrides = dict(overrides or {})
     # A replayed manifest carries its bins override; an explicit flag wins.
     replayed_bins = overrides.pop("bins", None)
-    if replayed_bins is not None and (_expected_type(1, replayed_bins) or replayed_bins < 1):
-        raise ConfigError("config key 'bins' must be null or an integer >= 1, "
-                          f"got {replayed_bins!r}")
+    cfg = resolve_config(name, overrides)
+    if replayed_bins is not None:
+        _check_config({"bins": replayed_bins}, f"config key {{!r}} for scenario {name}")
     if bins is None:
         bins = replayed_bins
-    cfg = resolve_config(name, overrides)
     files = _RUNNERS[name](cfg, seed, bins)
     return emit_run(out_dir, files, "simulate", {"scenario": name, **cfg, "bins": bins}, seed)

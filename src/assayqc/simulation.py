@@ -494,20 +494,6 @@ class SubsampleEstimate(NamedTuple):
     mean_ssmd: float
 
 
-def _check_sample_sizes(name: str, value: int | list[int]) -> None:
-    """Reject a sample size that cannot be a numpy array length, naming ``name``."""
-    if max(value if isinstance(value, list) else [value]) >= 2**63:
-        raise ConfigError(f"{name} must be under 2**63, got {value!r}")
-
-
-def _check_subsample(subsample_size: int, repeats: int, n: int) -> None:
-    """Reject a subsample size outside ``[1, n]`` and fewer than one repeat."""
-    if subsample_size < 1 or subsample_size > n:
-        raise InvalidSubsampleSize(f"subsample size {subsample_size} not in [1, {n}]")
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-
-
 def run_subsampled_estimate(
     neg: SampleSet,
     pos: SampleSet,
@@ -522,7 +508,11 @@ def run_subsampled_estimate(
     independently; taking the full size with one repeat reproduces the
     direct metrics (both are permutation invariant).
     """
-    _check_subsample(subsample_size, repeats, min(len(neg), len(pos)))
+    n = min(len(neg), len(pos))
+    if subsample_size < 1 or subsample_size > n:
+        raise InvalidSubsampleSize(f"subsample size {subsample_size} not in [1, {n}]")
+    if repeats < 1:
+        raise ConfigError("repeats must be >= 1")
     rng = np.random.default_rng(seed)
     gs, ss = [], []
     for _ in range(repeats):
@@ -584,7 +574,8 @@ def calibrate_null(
         raise ConfigError("calibration needs at least one sample size")
     if any(s < 1 for s in sizes):
         raise ConfigError("calibration sizes must be >= 1")
-    _check_sample_sizes("calibration sizes", list(sizes))
+    if max(sizes) >= 2**63:  # no array is that long
+        raise ConfigError(f"calibration sizes must be under 2**63, got {list(sizes)!r}")
     if len(set(sizes)) < len(sizes):
         raise ConfigError(f"calibration sizes {list(sizes)} repeat a size; each must appear once")
     if trials < 100:

@@ -164,6 +164,16 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_config_integer_too_long_to_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": ' + "9" * 5000 + "}")
+        assert main(["simulate", "fig1", "--seed", "3", "--out-dir", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: invalid JSON (Exceeds the limit")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "fig9", "--seed", "1", "--out-dir", str(tmp_path)])
@@ -338,9 +348,15 @@ class TestSimulateCommand:
         assert "non-finite" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("config, message", [
-        ({"subsample_size": 1000}, "error: subsample size 1000 not in [1, 100]\n"),
+        ({"subsample_size": 1000},
+         "error: config key 'subsample_size' for scenario fig5 must be <= n (100), got 1000\n"),
         ({"subsample_repeats": 0},
          "error: config key 'subsample_repeats' for scenario fig5 must be >= 1, got 0\n"),
+        ({"subsample_repeats": 2**63, "trials": 1, "n": 20},
+         "error: config key 'subsample_repeats' for scenario fig5 must be an integer under "
+         f"2**63, got {2**63}\n"),
+        ({"subsample_size": 1},  # one value has no variance: SSMD could never be formed
+         "error: config key 'subsample_size' for scenario fig5 must be >= 2, got 1\n"),
     ])
     def test_fig5_subsample_config_fails_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                           config, message):
@@ -499,11 +515,13 @@ class TestCalibrateCommand:
         manifest = json.loads((tmp_path / "bins2" / "manifest.json").read_text())
         assert manifest["config"]["bins"] == 2
 
-    def test_infinite_location_exits_3(self, tmp_path, capsys):
+    def test_infinite_location_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
         assert main(["calibrate", "--seed", "4", "--sizes", "10", "--trials", "100",
-                     "--location", "inf", "--out-dir", str(tmp_path)]) == 3
+                     "--location", "inf", "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numeric error: ") and err.count("\n") == 1
+        assert err == "error: calibrate flag --location must be a finite number, got inf\n"
+        assert not out.exists()
 
     def test_too_few_trials_exits_2(self, tmp_path):
         assert main(["calibrate", "--seed", "4", "--sizes", "10",
@@ -514,45 +532,60 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--seed", "1", "--sizes", "10", "100", "10",
                      "--trials", "100", "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: calibration sizes [10, 100, 10] repeat a size; "
-                       "each must appear once\n")
+        assert err == ("error: calibrate flag --sizes repeats 10; "
+                       "each grid value must appear once\n")
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command, config", [
-    (["calibrate", "--sizes", "10", "--trials", "100", "--location", "nan"], None),
-    (["simulate", "fig6"], {"location": float("nan"), "trials": 100}),
-    (["simulate", "fig1"], {"mu_diffs": [float("nan")], "trials": 1}),
-    (["simulate", "fig3"], {"outlier_means": [float("nan")], "trials": 1}),
+@pytest.mark.parametrize("command, config, message", [
+    (["calibrate", "--sizes", "10", "--trials", "100", "--location", "nan"], None,
+     "error: calibrate flag --location must be a finite number, got nan\n"),
+    (["simulate", "fig6"], {"location": float("nan"), "trials": 100},
+     "error: config key 'location' for scenario fig6 must be a finite number, got nan\n"),
+    (["simulate", "fig1"], {"mu_diffs": [float("nan")], "trials": 1},
+     "error: config key 'mu_diffs' for scenario fig1 must be a list of finite numbers, "
+     "got [nan]\n"),
+    (["simulate", "fig3"], {"outlier_means": [float("nan")], "trials": 1},
+     "error: config key 'outlier_means' for scenario fig3 must be a list of finite numbers, "
+     "got [nan]\n"),
 ], ids=["calibrate", "fig6", "fig1", "fig3"])
-def test_nan_location_exits_2(tmp_path, capsys, command, config):
+def test_nan_location_exits_2(tmp_path, capsys, command, config, message):
     argv = command + ["--seed", "1", "--out-dir", str(tmp_path / "out")]
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))  # written as NaN
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: distribution location must not be NaN\n"
+    assert err == message
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, config, named", [
     (["simulate", "fig4"], {"snr_db": [float("nan")], "trials": 1, "n": 20},
-     "snr_db must not be NaN"),
+     "config key 'snr_db'"),
     (["simulate", "fig5"], {"snr_db": [float("nan")], "trials": 1, "n": 20},
-     "snr_db must not be NaN"),
+     "config key 'snr_db'"),
     (["simulate", "fig2"], {"mu_diffs": [0, float("-inf")], "trials": 1, "n": 20},
      "config key 'mu_diffs'"),
     (["simulate", "fig1"], {"n": 2**63}, "config key 'n'"),
     (["simulate", "fig4"], {"panel_c_sizes": [2**63], "trials": 1, "n": 20},
      "config key 'panel_c_sizes'"),
     (["simulate", "fig6"], {"sizes": [10, 2**63], "trials": 100}, "config key 'sizes'"),
-    (["calibrate", "--sizes", str(2**63), "--trials", "100"], None, "calibration sizes"),
+    (["calibrate", "--sizes", str(2**63), "--trials", "100"], None, "calibrate flag --sizes"),
+    (["simulate", "fig6"], {"location": float("-inf"), "sizes": [3], "trials": 100},
+     "config key 'location'"),
+    (["simulate", "fig6"], {"scale": float("inf"), "sizes": [3], "trials": 100},
+     "config key 'scale'"),
+    (["calibrate", "--sizes", "3", "--trials", "100", "--location", "inf"], None,
+     "calibrate flag --location"),
+    (["simulate", "fig1"], {"trials": 2**63, "n": 20}, "config key 'trials'"),
+    (["calibrate", "--sizes", "3", "--trials", str(2**63)], None, "calibrate flag --trials"),
 ], ids=["fig4-nan-snr", "fig5-nan-snr", "fig2-infinite-mu", "fig1-n", "fig4-panel-c",
-        "fig6-sizes", "calibrate-sizes"])
+        "fig6-sizes", "calibrate-sizes", "fig6-location--inf", "fig6-scale-inf",
+        "calibrate-location-inf", "fig1-trials", "calibrate-trials"])
 def test_config_value_that_cannot_run_or_be_recorded_exits_2(tmp_path, capsys, command,
                                                               config, named):
-    """A NaN snr_db, a non-finite number the manifest cannot record and a sample size
+    """A non-finite number (which the manifest could not record either) and a count
     no array can hold exit 2 with one line that names the key or flag, and write no
     file (so no CSV without its manifest)."""
     out = tmp_path / "out"
@@ -577,13 +610,9 @@ def _calibration_argv(tmp_path, command, config):
 
 @pytest.mark.parametrize("command, config, named", [
     (["simulate", "fig6"], {"location": 1e308}, "location 1e+308"),
-    (["simulate", "fig6"], {"location": float("-inf")}, "location -inf"),
     (["simulate", "fig6"], {"scale": 1e308}, "scale 1e+308"),
-    (["simulate", "fig6"], {"scale": float("inf")}, "scale inf"),
-    (["calibrate", "--location", "inf"], None, "location inf"),
     (["calibrate", "--scale", "1e308"], None, "scale 1e+308"),
-], ids=["fig6-location-1e308", "fig6-location--inf", "fig6-scale-1e308", "fig6-scale-inf",
-        "calibrate-location-inf", "calibrate-scale-1e308"])
+], ids=["fig6-location-1e308", "fig6-scale-1e308", "calibrate-scale-1e308"])
 def test_null_draws_out_of_float_range_name_the_key_and_exit_3(tmp_path, capsys, command,
                                                                config, named):
     assert main(_calibration_argv(tmp_path, command, config)) == 3

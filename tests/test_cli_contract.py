@@ -5,12 +5,14 @@ whose JSON type differs from its default's (or that is an empty list, or a
 list of sample sizes that are not all integers; the config file written as
 UTF-8, UTF-8 with a byte-order mark or latin-1), ``main`` returns 0, 2 or 3,
 writes one stderr line on failure and none on success, emits no warning
-and never raises.
+and never raises. So it does for an extreme value of the right type for any
+config key or ``calibrate`` flag, and an exit 2 names the key or flag.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assayqc.cli import main
-from assayqc.scenarios import SCENARIO_NAMES, default_config
+from assayqc.scenarios import _RULES, SCENARIO_NAMES, default_config
 
 PLATE_HEADER = "plate_id,row,col,role,value"
 GROUP_HEADER = "group,value"
@@ -148,3 +150,64 @@ def test_config_file_encoding_is_utf8_with_optional_bom(data):
         assert code == 2, (scenario, key, value, encoding, err)
         assert len(err) == 1 and err[0].startswith(expected), err
         assert not out.exists()
+
+
+# Small runs, each well under a second, in which one key at a time takes an extreme.
+_TINY = {
+    "fig1": {"n": 20, "trials": 2, "mu_diffs": [0, 1], "sigmas": [1]},
+    "fig2": {"n": 20, "trials": 2, "mu_diffs": [0, 1], "shape": 0.5},
+    "fig3": {"n": 20, "trials": 2, "fractions": [0, 0.1], "outlier_means": [5],
+             "outlier_scale": 1.0},
+    "fig4": {"n": 20, "trials": 2, "mu_diffs": [0, 1], "snr_db": [10], "panel_c_sizes": [10]},
+    "fig5": {"n": 20, "trials": 2, "mu_diffs": [0, 1], "snr_db": [10], "panel_c_sizes": [10],
+             "subsample_size": 2, "subsample_repeats": 2},
+    "fig6": {"sizes": [3], "trials": 100, "dists": ["normal"], "location": 0.0, "scale": 1.0},
+    "calibrate": {"sizes": [3], "trials": 100, "location": 0.0, "scale": 1.0},
+}
+
+
+def rule_extremes(command, key) -> list:
+    """In-type extremes of the key's rule: each bound and its neighbours, 0, 2**63 and,
+    for a number, +-1e308, +-inf and NaN; an allowed string and another. Counts stay at
+    50 or less, or at 2**63 or more (rejected before any trial)."""
+    kind, *bounds = _RULES[key]
+    many = isinstance(kind, list)
+    kind = kind[0] if many else kind
+    names = [bound.split(" ", 1)[1] for bound in bounds]  # each bound is "op limit"
+    if kind is str:
+        values = [*json.loads(names[0]), "foo"]
+    else:
+        limits = [_TINY[command][name] if name in _TINY[command] else int(name) for name in names]
+        values = [0, 2**63, *(limit + d for limit in limits for d in (-1, 0, 1))]
+        if kind is float:
+            values += [1e308, -1e308, math.inf, -math.inf, math.nan]
+        else:
+            values = [v for v in values if v <= 50 or v >= 2**63]
+    return [[v] if many else v for v in dict.fromkeys(values)]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_extreme_config_value_of_the_right_type_exits_0_2_or_3(data):
+    command = data.draw(st.sampled_from(sorted(_TINY)))
+    key = data.draw(st.sampled_from(sorted(_TINY[command])
+                                    + ([] if command == "calibrate" else ["bins"])))
+    value = data.draw(st.sampled_from(rule_extremes(command, key)))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        config = {**_TINY[command], key: value}
+        if command == "calibrate":
+            argv = ["calibrate", *(f"--{k}={(v[0] if isinstance(v, list) else v)!r}"
+                                   for k, v in config.items())]  # lists hold one size here
+            named = f"error: calibrate flag --{key} "
+        else:
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv = ["simulate", command, "--config", str(cfg)]
+            named = f"error: config key '{key}' "
+        code, err = run_cli([*argv, "--seed", "1", "--out-dir", str(out)])
+        assert code in (0, 2, 3), (command, key, value, err)
+        assert code == 0 or len(err) == 1, err
+        if code == 2:  # calibrate_null keeps its floor of 100 trials, and its message
+            floor = f"error: calibration trials must be >= 100, got {value}"
+            assert err[0].startswith(named) or (key == "trials" and err[0] == floor), err
+        assert not list(out.glob("*.csv")) or (out / "manifest.json").exists()

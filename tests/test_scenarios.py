@@ -4,7 +4,21 @@ import pytest
 
 from assayqc import UnknownScenario, run_scenario
 from assayqc.errors import ConfigError
-from assayqc.scenarios import SCENARIO_NAMES, default_config, load_config_file, resolve_config
+from assayqc.cli import build_parser
+from assayqc.scenarios import (
+    _RULES,
+    SCENARIO_NAMES,
+    _check_config,
+    default_config,
+    load_config_file,
+    resolve_config,
+)
+
+
+def calibrate_defaults() -> dict:
+    """The value of each calibrate flag that its rule covers, as the parser sets it."""
+    args = vars(build_parser().parse_args(["calibrate", "--seed", "1"]))
+    return {k: v for k, v in args.items() if k not in ("subcommand", "seed", "out_dir")}
 
 
 class TestConfigResolution:
@@ -81,6 +95,47 @@ class TestConfigResolution:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"tool": "assayqc", "config": {"n": 7}}))
         assert load_config_file(path) == {"n": 7}
+
+
+class TestConfigRules:
+    def test_every_key_and_calibrate_flag_has_one_rule(self):
+        keys = {key for name in SCENARIO_NAMES for key in default_config(name)}
+        assert keys | set(calibrate_defaults()) == set(_RULES)
+        assert "bins" in calibrate_defaults()  # and a replayed manifest's bins
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_every_default_keeps_its_rule(self, name):
+        _check_config(default_config(name), "config key {!r}")
+
+    def test_every_calibrate_default_keeps_its_rule(self):
+        defaults = calibrate_defaults()
+        assert defaults.pop("bins") is None  # null: the 1+log2(N) rule
+        _check_config(defaults, "calibrate flag --{}")
+
+    @pytest.mark.parametrize("key, value", [
+        ("sizes", [10, 10]), ("sizes", [0]), ("sizes", [2**63]), ("trials", 2**63),
+        ("location", float("inf")), ("scale", 0.0), ("scale", float("nan")),
+    ])
+    def test_fig6_and_calibrate_state_a_fault_alike(self, key, value):
+        with pytest.raises(ConfigError) as fig6:
+            resolve_config("fig6", {key: value})
+        with pytest.raises(ConfigError) as flag:
+            _check_config({**calibrate_defaults(), "bins": 1, key: value}, "calibrate flag --{}")
+        fig6_rule = str(fig6.value).removeprefix(f"config key '{key}' for scenario fig6 ")
+        assert str(flag.value) == f"calibrate flag --{key} {fig6_rule}"
+
+    @pytest.mark.parametrize("key, value, fault", [
+        ("n", 2**63, f"must be an integer under 2**63, got {2**63}"),
+        ("trials", 0, "must be >= 1, got 0"),
+        ("subsample_size", 1, "must be >= 2, got 1"),
+        ("subsample_size", 101, "must be <= n (100), got 101"),
+        ("snr_db", [0, float("inf")], "must be a list of finite numbers, got [0, inf]"),
+        ("mu_diffs", [10**400], f"must be a list of finite numbers, got [{10**400}]"),
+    ])
+    def test_a_fault_names_the_key_and_its_rule(self, key, value, fault):
+        with pytest.raises(ConfigError) as exc:
+            resolve_config("fig5", {key: value})
+        assert str(exc.value) == f"config key '{key}' for scenario fig5 {fault}"
 
 
 class TestRunScenarioDeterminism:
