@@ -19,6 +19,7 @@ SCENARIO_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 DEFAULT_CALIBRATION_SIZES = (3, 10, 30, 100, 300, 1_000, 10_000, 100_000, 1_000_000)
 _RULE_NAMES = ("gssmd", "sigma", "ssmd", "logistic")  # hits.RuleKind values
 _DIST_NAMES = ("normal", "lognormal")  # simulation.NORMAL, LOGNORMAL
+_MAX_BINS = 2**31 - 1  # --bins: under it, every array the kernels size by bins fits numpy
 
 # Each submodule and the public names it exports here.
 _EXPORTS = {

@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _DIST_NAMES, _RULE_NAMES, DEFAULT_CALIBRATION_SIZES, SCENARIO_NAMES, __version__
+from . import (_DIST_NAMES, _MAX_BINS, _RULE_NAMES, DEFAULT_CALIBRATION_SIZES, SCENARIO_NAMES,
+               __version__)
 from .errors import DataValidationError, MalformedRow, NonPositiveValue, NumericError
 
 if TYPE_CHECKING:
@@ -48,10 +49,10 @@ def _u64(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _bin_count(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+    if not 1 <= value <= _MAX_BINS:
+        raise argparse.ArgumentTypeError(f"must be an integer in [1, {_MAX_BINS}]")
     return value
 
 
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     # A subcommand gets only the flags it reads: --bins all four, --format and
     # --out the report commands, --out-dir the commands that write files.
     bins = argparse.ArgumentParser(add_help=False)
-    bins.add_argument("--bins", type=_positive_int, default=None,
+    bins.add_argument("--bins", type=_bin_count, default=None,
                       help="override the 1+log2(N) histogram bin rule")
     report = argparse.ArgumentParser(add_help=False, parents=[bins])
     report.add_argument("--format", choices=["json", "csv"], default="json",

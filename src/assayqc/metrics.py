@@ -2,6 +2,10 @@
 
 All functions take the positive-control summary first and the
 negative-control summary second, mirroring the mu_1/mu_2 convention.
+
+``z_factor``, ``ssmd`` and ``cnr`` also score a block's row summaries, each row
+with the bits of its own call; a block raises if a row would, with a class some
+row raises. Rows overflow to inf without raising, as one pair's floats do.
 """
 
 from __future__ import annotations
@@ -26,22 +30,25 @@ def sbr(pos: SummaryStats, neg: SummaryStats) -> float:
     return pos.mean / neg.mean
 
 
-def z_factor(pos: SummaryStats, neg: SummaryStats) -> float:
+def z_factor(pos: SummaryStats, neg: SummaryStats) -> float | np.ndarray:
     """Z'-factor: 1 - 3*(sigma_1 + sigma_2) / |mu_1 - mu_2|, range (-inf, 1]."""
-    diff = abs(pos.mean - neg.mean)
-    if diff == 0:
-        raise DegenerateMeanDifference("Z'-factor is undefined for equal group means")
-    return 1.0 - 3.0 * (pos.std_dev + neg.std_dev) / diff
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = abs(pos.mean - neg.mean)
+        if np.equal(diff, 0).any():
+            raise DegenerateMeanDifference("Z'-factor is undefined for equal group means")
+        return 1.0 - 3.0 * (pos.std_dev + neg.std_dev) / diff
 
 
-def ssmd(pos: SummaryStats, neg: SummaryStats) -> float:
+def ssmd(pos: SummaryStats, neg: SummaryStats) -> float | np.ndarray:
     """Strictly standardized mean difference: (mu_1 - mu_2) / sqrt(sigma_1^2 + sigma_2^2)."""
-    pooled = pos.variance + neg.variance
-    if pooled == 0:
-        raise DegenerateVariance("SSMD needs at least one positive group variance")
-    return (pos.mean - neg.mean) / float(np.sqrt(pooled))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled = pos.variance + neg.variance
+        if np.equal(pooled, 0).any():
+            raise DegenerateVariance("SSMD needs at least one positive group variance")
+        root = np.sqrt(pooled)  # a float's stays a float
+        return (pos.mean - neg.mean) / (root if np.ndim(root) else float(root))
 
 
-def cnr(pos: SummaryStats, neg: SummaryStats) -> float:
+def cnr(pos: SummaryStats, neg: SummaryStats) -> float | np.ndarray:
     """Contrast-to-noise ratio: |SSMD| (magnitude only, direction stripped)."""
     return abs(ssmd(pos, neg))

@@ -2,7 +2,7 @@
 
 A ``SampleSet`` is one labeled group of scalar readouts (e.g. the negative
 controls of a plate); ``summarize`` reduces it to the moments every
-parametric metric consumes.
+parametric metric consumes, for one group or for each row of a block.
 """
 
 from __future__ import annotations
@@ -43,33 +43,41 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Mean, unbiased variance and derived standard deviation of one group.
+    """Mean, unbiased variance and derived standard deviation of one group, or of each row.
 
     ``degenerate`` marks single-observation groups, whose variance is fixed
     at 0; metrics that need positive spread raise on such input instead of
-    returning infinities.
+    returning infinities. Row summaries (``of`` a block) hold one array a moment.
     """
 
-    mean: float
-    variance: float
-    std_dev: float = field(init=False)
+    mean: float | np.ndarray
+    variance: float | np.ndarray
+    std_dev: float | np.ndarray = field(init=False)
     count: int = 1
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.variance < 0:
+        if np.less(self.variance, 0).any():
             raise ValueError("variance must be non-negative")
         if self.count < 1:
             raise ValueError("count must be positive")
-        object.__setattr__(self, "std_dev", float(np.sqrt(self.variance)))
+        std_dev = np.sqrt(self.variance)  # a float's stays a float
+        object.__setattr__(self, "std_dev", std_dev if np.ndim(std_dev) else float(std_dev))
 
     @classmethod
     def of(cls, values: np.ndarray) -> "SummaryStats":
-        """Moments of a 1-D float array; a single value is degenerate (variance 0)."""
-        if values.size == 1:
-            return cls(mean=float(values[0]), variance=0.0, count=1, degenerate=True)
-        return cls(mean=float(values.mean()), variance=float(values.var(ddof=1)),
-                   count=int(values.size))
+        """Moments of a 1-D float array, as floats, or of each row of a C-ordered 2-D block.
+
+        A 1-D array is a one-row block: rows sum like 1-D arrays, so row ``t`` has the bits
+        of ``of(values[t])``. A lone value is its own mean, with variance 0 (degenerate).
+        """
+        rows = values[None] if values.ndim == 1 else values
+        lone = rows.shape[1] == 1
+        mean = rows[:, 0] if lone else rows.mean(axis=1)  # a lone -0.0 keeps its sign
+        variance = np.zeros(len(rows)) if lone else rows.var(axis=1, ddof=1)
+        if values.ndim == 1:
+            mean, variance = float(mean[0]), float(variance[0])
+        return cls(mean, variance, rows.shape[1], lone)
 
 
 def summarize(samples: SampleSet) -> SummaryStats:

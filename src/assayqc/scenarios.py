@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _DIST_NAMES, SCENARIO_NAMES
+from . import _DIST_NAMES, _MAX_BINS, SCENARIO_NAMES
 from .errors import ConfigError, UnknownScenario
 from .report import RunManifest, text12
 from .samples import SampleSet
@@ -114,7 +114,7 @@ _RULES = {
     "dist": (str, f"in {json.dumps(_DIST_NAMES)}"),
     "location": (float,),
     "scale": (float, "> 0"),
-    "bins": (int, ">= 1"),  # or null, the 1+log2(N) rule
+    "bins": (int, ">= 1", f"<= {_MAX_BINS}"),  # or null, the 1+log2(N) rule
 }
 _TYPES = {  # each JSON type: whether a value has it, its name, and a list's name
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**63,

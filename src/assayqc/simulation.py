@@ -184,9 +184,8 @@ class ScenarioConfig:
             raise ConfigError("n must be >= 2")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.outlier_fractions is not None:
-            if any(not 0.0 <= f <= 1.0 for f in self.outlier_fractions):
-                raise ConfigError("outlier fractions must lie in [0, 1]")
+        if any(not 0.0 <= f <= 1.0 for f in self.outlier_fractions or ()):
+            raise ConfigError("outlier fractions must lie in [0, 1]")
         if any(math.isnan(s) for s in self.snr_db or ()):
             raise ConfigError(f"snr_db must not be NaN, got {list(self.snr_db)}")
         if self.bins is not None and self.bins < 1:
@@ -311,6 +310,17 @@ def _trial_generators(
 _CALIBRATION_CHUNK_VALUES = 2 ** 14
 
 
+def _scored(score: Callable, rows: list[tuple[np.ndarray, ...]]) -> Iterable:
+    """``score`` of the rows stacked into C-ordered blocks, or of each row alone if that fails."""
+    blocks = [parts[0][None] if len(parts) == 1 else np.array(parts) for parts in zip(*rows)]
+    try:
+        return [score(*blocks)]
+    except Exception:
+        if len(rows) == 1:
+            raise
+        return (score(*(block[r:r + 1] for block in blocks)) for r in range(len(rows)))
+
+
 def _grid_scores(
     seed: int, cells: list[tuple[tuple[int, ...], tuple]], trials: int, streams: int,
     trial: Callable[..., tuple[np.ndarray, ...]], score: Callable[..., dict[str, np.ndarray]],
@@ -320,24 +330,12 @@ def _grid_scores(
     Trial ``t`` of a cell returns its row ``trial(*values, rngs)``, a tuple of
     1-D arrays, with ``rngs`` from ``_trial_generators``. A chunk holds about
     ``_CALIBRATION_CHUNK_VALUES`` values of consecutive trials, and at least
-    one row, stacked into one C-ordered ``(rows, size)`` block per part;
-    ``score(*blocks)`` gives its metric columns ``{name: values}``, which fill
-    the current cell's ``trials`` values a metric. As trial by trial, a
-    failing trial raises only after every cell before it has been yielded,
-    and raises what it raises on its own: the rows drawn before a failing
-    draw are scored first, and a chunk that fails to score is scored again
-    row by row.
+    one row; ``_scored(score, rows)`` gives its metric columns ``{name:
+    values}``, which fill the current cell's ``trials`` values a metric. As
+    trial by trial, a failing trial raises only after every cell before it
+    has been yielded, and raises what it raises on its own: the rows drawn
+    before a failing draw are scored first.
     """
-    def scored(rows: list[tuple[np.ndarray, ...]]) -> Iterable[dict[str, np.ndarray]]:
-        """The metric columns of a chunk's rows: in one part, or one part a row if that fails."""
-        blocks = [parts[0][None] if len(parts) == 1 else np.array(parts) for parts in zip(*rows)]
-        try:
-            return [score(*blocks)]
-        except Exception:
-            if len(rows) == 1:
-                raise
-            return (score(*(block[r:r + 1] for block in blocks)) for r in range(len(rows)))
-
     generators = _trial_generators(seed, [indices for indices, _ in cells], trials, streams)
     drawn = (trial(*values, next(generators)) for _, values in cells for _ in range(trials))
     full = (values for _, values in cells)  # each cell's values, yielded once its columns fill
@@ -354,7 +352,7 @@ def _grid_scores(
             failure = exc
         if not rows:
             break
-        for part in scored(rows):
+        for part in _scored(score, rows):
             size, done = len(next(iter(part.values()))), 0
             while done < size:
                 columns = columns or {name: np.empty(trials) for name in part}
@@ -388,28 +386,13 @@ def _overlap_rows(
 def _score_rows(neg: np.ndarray, pos: np.ndarray, bins: int | None) -> dict[str, np.ndarray]:
     """z_factor, ssmd, gssmd and ovl of every row pair of two C-ordered (T, n) blocks.
 
-    Row ``t`` has the bits of ``metrics.z_factor``/``ssmd`` on the pair's
-    ``SummaryStats`` and of ``_gssmd_from_arrays``: row means and
-    ``var(ddof=1)`` of C-ordered rows sum like the 1-D ones, and z_factor and
-    ssmd use the float operations of ``metrics``, which overflow to inf
-    without raising. The first row with equal means or two zero variances
-    raises what ``metrics`` raises for it, before the division it guards.
+    Row ``t`` has the bits of ``metrics`` and ``_gssmd_from_arrays`` on its pair. A
+    degenerate row fails the block, which ``_scored`` then scores row by row.
     """
-    mean_neg, var_neg = neg.mean(axis=1), neg.var(axis=1, ddof=1)
-    mean_pos, var_pos = pos.mean(axis=1), pos.var(axis=1, ddof=1)
+    s_neg, s_pos = SummaryStats.of(neg), SummaryStats.of(pos)
     gssmd, ovl = _overlap_rows(neg, pos, bins)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        diff, pooled = mean_pos - mean_neg, var_pos + var_neg
-        degenerate = np.flatnonzero((diff == 0) | (pooled == 0))
-        if degenerate.size:
-            r = degenerate[0]
-            s_neg = SummaryStats(float(mean_neg[r]), float(var_neg[r]))
-            s_pos = SummaryStats(float(mean_pos[r]), float(var_pos[r]))
-            metrics.z_factor(s_pos, s_neg)
-            metrics.ssmd(s_pos, s_neg)
-        z_factor = 1.0 - 3.0 * (np.sqrt(var_pos) + np.sqrt(var_neg)) / np.abs(diff)
-        ssmd = diff / np.sqrt(pooled)
-    return {"z_factor": z_factor, "ssmd": ssmd, "gssmd": gssmd, "ovl": ovl}
+    return {"z_factor": metrics.z_factor(s_pos, s_neg), "ssmd": metrics.ssmd(s_pos, s_neg),
+            "gssmd": gssmd, "ovl": ovl}
 
 
 def _run_grid(
@@ -504,9 +487,9 @@ def run_subsampled_estimate(
 ) -> SubsampleEstimate:
     """Average metrics over repeated without-replacement subsamples.
 
-    Each repeat draws ``subsample_size`` values from each group
-    independently; taking the full size with one repeat reproduces the
-    direct metrics (both are permutation invariant).
+    Each repeat draws ``subsample_size`` values from each group, neg then pos,
+    independently, and the repeats are scored as rows (``_scored``); the full
+    size with one repeat gives the direct metrics (both are permutation invariant).
     """
     n = min(len(neg), len(pos))
     if subsample_size < 1 or subsample_size > n:
@@ -514,13 +497,13 @@ def run_subsampled_estimate(
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     rng = np.random.default_rng(seed)
-    gs, ss = [], []
-    for _ in range(repeats):
-        a = neg.values[rng.choice(len(neg), subsample_size, replace=False)]
-        b = pos.values[rng.choice(len(pos), subsample_size, replace=False)]
-        gs.append(_gssmd_from_arrays(a, b, bins).gssmd)
-        ss.append(metrics.ssmd(SummaryStats.of(b), SummaryStats.of(a)))
-    return SubsampleEstimate(float(np.mean(gs)), float(np.mean(ss)))
+    rows = [(neg.values[rng.choice(len(neg), subsample_size, replace=False)],
+             pos.values[rng.choice(len(pos), subsample_size, replace=False)])
+            for _ in range(repeats)]
+    parts = _scored(lambda a, b: (_overlap_rows(a, b, bins)[0],
+                                  metrics.ssmd(SummaryStats.of(b), SummaryStats.of(a))), rows)
+    gssmd, ssmd = (np.concatenate(column) for column in zip(*parts))
+    return SubsampleEstimate(float(gssmd.mean()), float(ssmd.mean()))
 
 
 # --- null calibration --------------------------------------------------------

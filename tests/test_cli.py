@@ -687,3 +687,43 @@ def test_an_input_too_large_for_memory_exits_2_with_one_line(tmp_path, capsys, m
     assert main([*argv, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: out of memory: {shown or reason}\n"
     assert not out.exists()
+
+
+_CAP = 2**31 - 1  # the largest --bins
+
+
+@pytest.mark.parametrize("bins", [2**31, 2**62, 2**63 - 1])
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "metrics", "hits"])
+def test_bins_over_the_cap_exit_2_before_any_work(tmp_path, capsys, command, bins):
+    """A bin count past the cap would size arrays numpy cannot make (exit 1 with a
+    traceback), or try to allocate gigabytes; the parser refuses it."""
+    write_group_csv(tmp_path / "groups.csv", [0.0, 1.0, 2.0], [5.0, 6.0, 7.0])
+    write_plate_csv(tmp_path / "plate.csv", {"P1": ([0.0, 1.0, 2.0], [5.0, 6.0, 7.0], [3.0])})
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "fig1", "--seed", "1", "--out-dir", str(out)],
+        "calibrate": ["calibrate", "--seed", "1", "--sizes", "3", "--trials", "100",
+                      "--out-dir", str(out)],
+        "metrics": ["metrics", str(tmp_path / "groups.csv"), "--out", str(out)],
+        "hits": ["hits", str(tmp_path / "plate.csv"), "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--bins", str(bins)])
+    assert exc.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err.endswith(f"error: argument --bins: must be an integer in [1, {_CAP}]\n"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bins", [2**31, 2**62, 2**63 - 1])
+def test_replayed_bins_over_the_cap_exit_2(tmp_path, capsys, bins):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tool": "assayqc",
+                                    "config": {"scenario": "fig1", "trials": 1, "bins": bins}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "fig1", "--seed", "1", "--config", str(manifest),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config key 'bins' for scenario fig1 must be <= {_CAP}, got {bins}\n")
+    assert not out.exists()

@@ -108,3 +108,37 @@ def test_bench_trial_counts_match_recorded_sha256(tmp_path, monkeypatch):
     actual = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
               for path in sorted(out.rglob("*")) if path.is_file()}
     assert actual == GOLDEN_BENCH_TRIALS
+
+
+# fig5 at a panel D shape that the defaults never reach: subsamples of two values and
+# nine repeats (past numpy's 8-value pairwise block in the repeat means), with the bin
+# rule and with one bin; recorded with panel D scoring one repeat at a time.
+GOLDEN_PANEL_D_SHAPE = {
+    "bins1/fig5_panelA.csv": "d346748f1d476282729e5ab22b6854c229110f0a3021d28a622f910ccbf97040",
+    "bins1/fig5_panelB.csv": "19d214702b410947c7e696007b761002c895b5a0488519b0c5d4ffe5289a0551",
+    "bins1/fig5_panelC.csv": "789704221bc0041d71995acca765bba8cc63a584d7eca60e601aca239fa7c86a",
+    "bins1/fig5_panelD.csv": "1a31c55f5edf49bd3ae6ddfc7a1163b5e5ebaca8cfd30231e1ef97f74c1113c5",
+    "bins1/manifest.json": "6598d2ef137c74f7633d1d601f3052d26ed789705732cf74091044b05dd0b7ed",
+    "default/fig5_panelA.csv": "be391528f8364142bb57720980c5f3a120d0f65743f77e042115ff5f9d7202a3",
+    "default/fig5_panelB.csv": "f469e04b3b2f90ef52312ec62ede8f967f72ca19c4176f1428509146623880ad",
+    "default/fig5_panelC.csv": "293ac195e6d6a30d1a3dc278bde9bd91e7f8d6509378de75d3ea76ce523ecc54",
+    "default/fig5_panelD.csv": "a302304565757b8e8ef28bd62238b47e1286e2431bd94f617f6538f9721f1ef5",
+    "default/manifest.json": "149c8b756ba5445726f353ef64a6b46a204f61aa0b0307362933159b0473c3a5",
+}
+
+
+def test_panel_d_shape_matches_recorded_sha256(tmp_path, monkeypatch):
+    numpy_minor = ".".join(np.__version__.split(".")[:2])
+    if numpy_minor != RECORDED_NUMPY:
+        pytest.skip(f"hashes recorded with numpy {RECORDED_NUMPY}, running {numpy_minor}")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    config_path = tmp_path / "fig5.json"
+    config_path.write_text(json.dumps({"n": 20, "trials": 2, "subsample_size": 2,
+                                       "subsample_repeats": 9}))
+    for name, flags in (("default", []), ("bins1", ["--bins", "1"])):
+        assert main(["simulate", "fig5", "--seed", "11", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out" / name), *flags]) == 0
+    out = tmp_path / "out"
+    actual = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in sorted(out.rglob("*")) if path.is_file()}
+    assert actual == GOLDEN_PANEL_D_SHAPE

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assayqc import (
     DegenerateMeanDifference,
@@ -121,3 +124,60 @@ class TestLargeSampleValues:
         pos = summarize(draw(DistributionSpec.normal(d, 1), n, 12))
         assert ssmd(pos, neg) == pytest.approx(d / math.sqrt(2), abs=0.01)
         assert z_factor(pos, neg) == pytest.approx(1 - 6 / d, abs=0.02)
+
+
+def metric_outcome(metric, pos, neg):
+    """A metric's value, or the class of what it raised, with numpy errors raising."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            return metric(pos, neg)
+        except Exception as exc:
+            return type(exc)
+
+
+# Ties give equal means and zero variances; 1e308 overflows means, variances and metrics.
+row_values = (st.integers(-2, 2).map(float) | st.floats(-1e3, 1e3)
+              | st.sampled_from([-0.0, 1e-320, 1e154, -1e308, 1e308]))
+
+
+@st.composite
+def row_blocks(draw):
+    """Two (rows, n) blocks of values, one value a row allowed."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    return tuple(np.array(draw(st.lists(row_values, min_size=rows * n, max_size=rows * n)))
+                 .reshape(rows, n) for _ in range(2))
+
+
+class TestRowSummaries:
+    """z_factor, ssmd and cnr on a block's row summaries, against each row's own call."""
+
+    @settings(max_examples=200)
+    @given(row_blocks())
+    def test_rows_equal_the_per_row_calls(self, blocks):
+        neg, pos = blocks
+        with warnings.catch_warnings():  # moments that overflow warn and read inf or NaN
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = SummaryStats.of(pos), SummaryStats.of(neg)
+            pairs = [(SummaryStats.of(p), SummaryStats.of(q)) for p, q in zip(pos, neg)]
+        for metric in (z_factor, ssmd, cnr):
+            got = metric_outcome(metric, *rows)
+            want = [metric_outcome(metric, *pair) for pair in pairs]
+            raised = {w for w in want if isinstance(w, type)}
+            if raised:  # a block raises if a row does, with a class some row raises
+                assert got in raised, (metric, got, want)
+                continue
+            assert all(type(w) is float for w in want)
+            np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+    def test_a_block_with_one_degenerate_row_raises(self):
+        neg = SummaryStats.of(np.array([[0.0, 1.0], [3.0, 3.0]]))
+        pos = SummaryStats.of(np.array([[2.0, 5.0], [4.0, 4.0]]))
+        assert z_factor(pos, neg).shape == (2,)  # the means differ in every row
+        with pytest.raises(DegenerateVariance, match="^SSMD needs at least one positive"):
+            ssmd(pos, neg)  # row 1 has two zero variances
+
+    def test_scalar_calls_return_floats(self):
+        neg = SummaryStats.of(np.array([0.0, 1.0, 3.0]))
+        pos = SummaryStats.of(np.array([5.0, 8.0]))
+        for metric in (z_factor, ssmd, cnr, snr_assay, sbr):
+            assert type(metric(pos, neg)) is float

@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assayqc import (
     DistributionSpec,
@@ -70,3 +75,52 @@ class TestSummarize:
         stats = summarize(s)
         assert abs(stats.mean) <= 0.01
         assert abs(stats.variance - 1.0) <= 0.01
+
+
+@st.composite
+def blocks(draw):
+    """A (rows, n) block, one value a row allowed, with -0.0 and magnitudes to 1e308."""
+    rows, n = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    values = st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 0.0, 1e308, -1e154, 5e-324])
+    return np.array(draw(st.lists(values, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=np.float64).view(np.int64),
+                          np.asarray(b, dtype=np.float64).view(np.int64))
+
+
+class TestRowSummaries:
+    """SummaryStats.of a C-ordered block: each row has the bits of its own 1-D summary."""
+
+    @settings(max_examples=100)
+    @given(blocks())
+    def test_rows_equal_the_1d_summaries(self, block):
+        with warnings.catch_warnings():  # overflowing moments warn and read inf or NaN
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = SummaryStats.of(block)
+            each = [SummaryStats.of(row) for row in block]
+        for name in ("mean", "variance", "std_dev"):
+            assert same_bits(getattr(rows, name), [getattr(s, name) for s in each]), name
+        assert {(rows.count, rows.degenerate)} == {(s.count, s.degenerate) for s in each}
+
+    @settings(max_examples=100)
+    @given(blocks())
+    def test_1d_summary_is_the_direct_moments(self, block):
+        values = block[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stats = SummaryStats.of(values)
+            lone = values.size == 1
+            mean = float(values[0]) if lone else float(values.mean())
+            variance = 0.0 if lone else float(values.var(ddof=1))
+        assert type(stats.mean) is type(stats.variance) is type(stats.std_dev) is float
+        assert same_bits([stats.mean, stats.variance], [mean, variance])
+        assert (stats.count, stats.degenerate) == (values.size, lone)
+
+    def test_a_lone_negative_zero_keeps_its_sign(self):
+        for stats in (SummaryStats.of(np.array([-0.0])), summarize(SampleSet([-0.0]))):
+            assert math.copysign(1.0, stats.mean) == -1.0 and stats.degenerate
+        rows = SummaryStats.of(np.array([[-0.0], [2.0]]))
+        assert math.copysign(1.0, rows.mean[0]) == -1.0 and rows.degenerate
+        assert same_bits(rows.variance, [0.0, 0.0])

@@ -17,6 +17,7 @@ from assayqc import (
     NullCalibrationRow,
     SampleSet,
     ScenarioConfig,
+    SummaryStats,
     TrialAggregate,
     ZeroPowerSignal,
     add_awgn,
@@ -34,6 +35,7 @@ from assayqc import (
     z_factor,
 )
 from assayqc import scenarios, simulation
+from assayqc.overlap import _gssmd_from_arrays
 
 NORMAL = DistributionSpec.normal(0, 1)
 
@@ -479,6 +481,27 @@ def same_points(a, b):
     return repr(a) == repr(b)
 
 
+def one_group_summary(values):
+    """``SummaryStats.of`` of a 1-D array, stated on its own: a lone value is degenerate."""
+    if values.size == 1:
+        return SummaryStats(mean=float(values[0]), variance=0.0, count=1, degenerate=True)
+    return SummaryStats(mean=float(values.mean()), variance=float(values.var(ddof=1)),
+                        count=int(values.size))
+
+
+def subsampled_estimate_by_repeat(neg, pos, subsample_size, repeats, seed, bins=None):
+    """run_subsampled_estimate one repeat at a time: each pair through the per-pair kernel
+    and the scalar SSMD, so the first failing repeat raises what it raises."""
+    rng = np.random.default_rng(seed)
+    gs, ss = [], []
+    for _ in range(repeats):
+        a = neg.values[rng.choice(len(neg), subsample_size, replace=False)]
+        b = pos.values[rng.choice(len(pos), subsample_size, replace=False)]
+        gs.append(_gssmd_from_arrays(a, b, bins).gssmd)
+        ss.append(ssmd(one_group_summary(b), one_group_summary(a)))
+    return simulation.SubsampleEstimate(float(np.mean(gs)), float(np.mean(ss)))
+
+
 def recomputed_subsample_points(cfg, seed, bins):
     """fig5 panel D rebuilt trial by trial from derive_seed(seed, i, j, t, stream)."""
     points = []
@@ -490,9 +513,11 @@ def recomputed_subsample_points(cfg, seed, bins):
                 base = draw(NORMAL, cfg["n"], derive_seed(*key, 0))
                 neg = add_awgn(base, snr, derive_seed(*key, 1))
                 pos = add_awgn(SampleSet(base.values + d), snr, derive_seed(*key, 2))
-                sub = run_subsampled_estimate(neg, pos, cfg["subsample_size"],
-                                              cfg["subsample_repeats"], derive_seed(*key, 3), bins)
-                full = run_subsampled_estimate(neg, pos, cfg["n"], 1, derive_seed(*key, 4), bins)
+                sub = subsampled_estimate_by_repeat(neg, pos, cfg["subsample_size"],
+                                                    cfg["subsample_repeats"],
+                                                    derive_seed(*key, 3), bins)
+                full = subsampled_estimate_by_repeat(neg, pos, cfg["n"], 1,
+                                                     derive_seed(*key, 4), bins)
                 trials.append({"gssmd_subsampled": sub.mean_gssmd,
                                "ssmd_subsampled": sub.mean_ssmd,
                                "gssmd_full": full.mean_gssmd, "ssmd_full": full.mean_ssmd})
@@ -615,6 +640,52 @@ class TestBatchedSweeps:
         monkeypatch.setattr(simulation, "_CALIBRATION_CHUNK_VALUES", 7 * 2 * 50)
         cfg = ScenarioConfig(neg=NORMAL, mu_diffs=(0.0, 1.0, 3.0), n=50, seed=9, trials=4)
         assert same_points(run_mean_difference_sweep(cfg).points, recomputed_sweep_points(cfg))
+
+
+@st.composite
+def subsample_groups(draw):
+    """A neg and a pos group of 1..20 values, often tied, at scales up to 1e154."""
+    scale = draw(st.floats(1e-3, 1e3) | st.sampled_from([1e-300, 1e150, 1e154]))
+    values = st.integers(-2, 2).map(float) | st.floats(-1, 1)
+    return tuple(SampleSet(np.array(draw(st.lists(values, min_size=1, max_size=20))) * scale)
+                 for _ in range(2))
+
+
+class TestSubsampledEstimateRows:
+    """run_subsampled_estimate scores its repeats as rows, against one repeat at a time."""
+
+    @settings(max_examples=300)
+    @given(groups=subsample_groups(), size=st.integers(1, 20), repeats=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 64 - 1), bins=st.none() | st.integers(1, 6))
+    def test_rows_equal_the_per_repeat_loop(self, groups, size, repeats, seed, bins):
+        # 12 repeats cross numpy's 8-value pairwise block in the repeat means.
+        neg, pos = groups
+        args = (neg, pos, min(size, len(neg), len(pos)), repeats, seed, bins)
+        with warnings.catch_warnings():  # numpy's default errstate: overflow warns, gives inf
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = (same_or_class(run, *args) for run in (run_subsampled_estimate,
+                                                                subsampled_estimate_by_repeat))
+        assert got == want
+        # Under a raising errstate, as in the CLI, overflows raise too.
+        got, want = (outcome(run, *args) for run in (run_subsampled_estimate,
+                                                    subsampled_estimate_by_repeat))
+        assert got == want
+
+    def test_an_earlier_degenerate_repeat_raises_before_a_later_overflow(self):
+        # Seed 1 draws two tied neg values in an early repeat and 2e154 in a later one. A
+        # raising errstate meets that overflow first in the block, which is then scored
+        # repeat by repeat.
+        neg, pos = SampleSet([0.0, 0.0, 0.0, 2e154, -2e154]), SampleSet([5.0] * 4)
+        assert outcome(subsampled_estimate_by_repeat, neg, pos, 2, 4, 1) is DegenerateVariance
+        assert outcome(run_subsampled_estimate, neg, pos, 2, 4, 1) is DegenerateVariance
+
+
+def same_or_class(run, *args):
+    """A run's result, or the class of what it raised, under the errstate in force."""
+    try:
+        return repr(run(*args))
+    except Exception as exc:
+        return type(exc)
 
 
 class TestGridSeedStates:
