@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -54,6 +55,13 @@ def _bin_count(text: str) -> int:
     if not 1 <= value <= _MAX_BINS:
         raise argparse.ArgumentTypeError(f"must be an integer in [1, {_MAX_BINS}]")
     return value
+
+
+def _number(text: str) -> int | float:  # for the calibrate rules to judge
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,11 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[files],
                        help="null lower-bound calibration table for GSSMD")
     p.add_argument("--seed", type=_u64, required=True)
-    p.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_CALIBRATION_SIZES))
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--sizes", type=_number, nargs="+", default=list(DEFAULT_CALIBRATION_SIZES))
+    p.add_argument("--trials", type=_number, default=1000)
     p.add_argument("--dist", choices=_DIST_NAMES, default=_DIST_NAMES[0])
     p.add_argument("--location", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
+    for p in sub.choices.values():  # what float() reads, as -1e+308 or -inf, is a value
+        p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -14,7 +14,9 @@ count governs resolution.
 
 Bin assignment is left-closed/right-open with a right-closed final bin;
 ties at interior edges go to the higher bin (``numpy.histogram`` semantics,
-stated here so other implementations can match bit-exactly).
+stated here so other implementations can match bit-exactly). Both kernels
+count a group by its values below each inner edge: numpy's own rule for any
+non-decreasing edges.
 """
 
 from __future__ import annotations
@@ -85,13 +87,28 @@ def bin_count(n: int) -> int:
     return max(1, math.ceil(1.0 + math.log2(n)))
 
 
+def _bin_counts(below: np.ndarray, size: int) -> np.ndarray:
+    """Per-bin counts of ``size`` values, from how many lie below each inner edge (last axis)."""
+    counts = np.empty((*below.shape[:-1], below.shape[-1] + 1), np.intp)
+    counts[..., :-1], counts[..., -1] = below, size
+    counts[..., 1:] -= below
+    return counts
+
+
 def _histogram_counts(neg: np.ndarray, pos: np.ndarray, bins: int | None):
-    """Shared-edge counts for two raw arrays; handles the all-equal range."""
-    lo = min(neg.min(), pos.min())
-    hi = max(neg.max(), pos.max())
+    """Shared-edge counts for two raw arrays; handles the all-equal range.
+
+    Each group is sorted once, for the pooled range and ``searchsorted``; a non-finite
+    pair, or one whose last edges round out of order, goes through ``numpy.histogram``.
+    """
+    groups = np.sort(neg), np.sort(pos)
+    finite = all(math.isfinite(g[i]) for g in groups for i in (0, -1))
+    if finite:
+        lo, hi = min(groups[0][0], groups[1][0]), max(groups[0][-1], groups[1][-1])
+    else:
+        lo, hi = min(neg.min(), pos.min()), max(neg.max(), pos.max())
     if lo == hi:
-        # All pooled samples identical: a single unit-width bin holds
-        # everything and the groups overlap completely.
+        # All pooled samples identical: one unit-width bin, complete overlap.
         edges = np.array([lo - 0.5, lo + 0.5])
         return edges, np.array([neg.size]), np.array([pos.size])
     if bins is None:
@@ -99,9 +116,9 @@ def _histogram_counts(neg: np.ndarray, pos: np.ndarray, bins: int | None):
     elif bins < 1:
         raise ValueError("bins must be >= 1")
     edges = np.linspace(lo, hi, bins + 1)
-    c_neg, _ = np.histogram(neg, bins=edges)
-    c_pos, _ = np.histogram(pos, bins=edges)
-    return edges, c_neg, c_pos
+    if not finite or edges[-2] > hi:
+        return edges, *(np.histogram(g, bins=edges)[0] for g in (neg, pos))
+    return edges, *(_bin_counts(g.searchsorted(edges[1:-1]), g.size) for g in groups)
 
 
 def build_histogram_pair(
@@ -179,57 +196,40 @@ def _gssmd_rows(
 
     Row ``t`` equals ``_gssmd_from_arrays(neg[t], pos[t], bins).gssmd`` bit
     for bit; given ``ovl``, an array of T values, row ``t`` of it receives
-    that result's ``.ovl``. Each row pair is binned onto ``linspace`` edges
-    over its pooled range with ``numpy.histogram``'s rule for equal-width
-    bins: a first-guess index from the scaled offset, then one step down
-    where the value lies below its bin's left edge and one step up where it
-    reaches the next edge (except in the last, right-closed bin). One
-    ``bincount`` counts every row. That single correction step is exact
-    while the edges' rounding error stays below a bin width; rows whose
-    range is too narrow for that (a few ulps per bin), or not finite, go
-    through the per-pair kernel.
+    that result's ``.ovl``. Rows get ``linspace`` edges between the ends of
+    their sorted rows, and up to 9 bins are counted by comparing values with
+    the inner edges (a (T, k-1, m) boolean block is within the rows' float
+    bytes), more by ``searchsorted``, a slice of rows whose counts fit those
+    bytes at a time. Non-finite rows, rows with a subnormal step span/k (an
+    array ``linspace`` with a zero step rescales every row) and rows whose
+    edges alone outgrow the bytes go through the per-pair kernel.
     """
     rows, m = neg.shape
     n = pos.shape[1]
     k = bin_count(m + n) if bins is None else bins
     if k < 1:
         raise ValueError("bins must be >= 1")
-    pooled = np.concatenate((neg, pos), axis=1)
-    lo, hi = pooled.min(axis=1), pooled.max(axis=1)
+    groups = np.sort(neg, axis=1), np.sort(pos, axis=1)
+    lo = np.minimum(groups[0][:, 0], groups[1][:, 0])
+    hi = np.maximum(groups[0][:, -1], groups[1][:, -1])
     span = hi - lo
-    magnitude = np.maximum(np.abs(lo), np.abs(hi))
-    binnable = (np.isfinite(span) & (span >= 4 * k * np.spacing(magnitude))
-                & (span >= k * np.finfo(np.float64).tiny))
-    per_pair = np.flatnonzero(~binnable & (span != 0))
+    compare = k <= 9
+    step = rows if compare else rows * (m + n) // (8 * (k + 1))  # about 8 (rows, k) arrays
+    binned = np.isfinite(span) & (span / k >= np.finfo(np.float64).tiny) & (step > 0)
     ovl_rows = np.empty(rows) if ovl is None else ovl
     ovl_rows[:] = 1.0  # all pooled values equal: complete overlap
-    if binnable.any():
-        x, lo, hi, span = (a if binnable.all() else a[binnable]
-                           for a in (pooled, lo, hi, span))
-        t = x.shape[0]
-        # Indices run over the raveled (t, k+1) edges; the edge after each
-        # row's last bin reads +inf so that the right-closed bin never steps up.
-        edges = np.linspace(lo, hi, k + 1, axis=1).ravel()
-        upper = edges[1:].copy()
-        upper[k - 1::k + 1] = np.inf
-        guess = x - lo[:, None]
-        guess *= (k / span)[:, None]
-        np.minimum(guess, k - 1, out=guess)
-        idx = guess.astype(np.intp)
-        idx += np.arange(0, t * (k + 1), k + 1)[:, None]
-        # The gathered edges reuse the guess's buffer.
-        idx -= x < edges.take(idx, out=guess)
-        idx += x >= upper.take(idx, out=guess)
-        # Positive-group values count in a second (t, k+1) block.
-        idx[:, m:] += t * (k + 1)
-        counts = np.bincount(idx.ravel(), minlength=2 * t * (k + 1))
-        counts = counts.reshape(2, t, k + 1)[:, :, :k]
-        ovl_rows[binnable] = _ovl_from_counts(counts[0], counts[1], m, n)
+    todo = np.flatnonzero(binned)
+    for s in range(0, todo.size, max(step, 1)):
+        r = todo[s:s + step]
+        inner = np.linspace(lo[r], hi[r], k + 1, axis=1)[:, 1:-1]
+        below = [(g[r, None] < inner[:, :, None]).sum(axis=2) if compare
+                 else np.array([g[i].searchsorted(e) for i, e in zip(r, inner)]) for g in groups]
+        ovl_rows[r] = _ovl_from_counts(_bin_counts(below[0], m), _bin_counts(below[1], n), m, n)
     # Row means of C-ordered rows sum like the 1-D means of the per-pair path;
     # +0.0 turns a sign of -0.0 into +0.0, as int(np.sign(...)) does.
-    sign = np.sign(pooled[:, m:].mean(axis=1) - pooled[:, :m].mean(axis=1)) + 0.0
+    sign = np.sign(pos.mean(axis=1) - neg.mean(axis=1)) + 0.0
     signed = sign * (1.0 - ovl_rows)
-    for r in per_pair:
+    for r in np.flatnonzero(~binned & (span != 0)):
         pair = _gssmd_from_arrays(neg[r], pos[r], bins)
         signed[r], ovl_rows[r] = pair.gssmd, pair.ovl
     return signed

@@ -321,25 +321,10 @@ def _scored(score: Callable, rows: list[tuple[np.ndarray, ...]]) -> Iterable:
         return (score(*(block[r:r + 1] for block in blocks)) for r in range(len(rows)))
 
 
-def _grid_scores(
-    seed: int, cells: list[tuple[tuple[int, ...], tuple]], trials: int, streams: int,
-    trial: Callable[..., tuple[np.ndarray, ...]], score: Callable[..., dict[str, np.ndarray]],
-) -> Iterator[tuple[tuple, dict[str, np.ndarray]]]:
-    """Each ``(indices, values)`` cell's values with its trials' metric columns, cell by cell.
-
-    Trial ``t`` of a cell returns its row ``trial(*values, rngs)``, a tuple of
-    1-D arrays, with ``rngs`` from ``_trial_generators``. A chunk holds about
-    ``_CALIBRATION_CHUNK_VALUES`` values of consecutive trials, and at least
-    one row; ``_scored(score, rows)`` gives its metric columns ``{name:
-    values}``, which fill the current cell's ``trials`` values a metric. As
-    trial by trial, a failing trial raises only after every cell before it
-    has been yielded, and raises what it raises on its own: the rows drawn
-    before a failing draw are scored first.
-    """
-    generators = _trial_generators(seed, [indices for indices, _ in cells], trials, streams)
-    drawn = (trial(*values, next(generators)) for _, values in cells for _ in range(trials))
-    full = (values for _, values in cells)  # each cell's values, yielded once its columns fill
-    columns, filled, chunk, failure = {}, 0, 0, None
+def _chunks_scored(score: Callable, drawn: Iterator[tuple[np.ndarray, ...]]) -> Iterator:
+    """``_scored`` of the ``drawn`` rows, about ``_CALIBRATION_CHUNK_VALUES`` values (at least
+    one row) a chunk; a failing draw raises once the rows drawn before it are scored."""
+    chunk, failure = 0, None
     while failure is None:
         rows = []
         try:
@@ -352,19 +337,47 @@ def _grid_scores(
             failure = exc
         if not rows:
             break
-        for part in _scored(score, rows):
-            size, done = len(next(iter(part.values()))), 0
-            while done < size:
-                columns = columns or {name: np.empty(trials) for name in part}
-                take = min(size - done, trials - filled)
-                for name, col in part.items():
-                    columns[name][filled:filled + take] = col[done:done + take]
-                filled, done = filled + take, done + take
-                if filled == trials:
-                    yield next(full), columns
-                    columns, filled = {}, 0
+        yield from _scored(score, rows)
     if failure is not None:
         raise failure
+
+
+def _grid_scores(
+    seed: int, cells: list[tuple[tuple[int, ...], tuple]], trials: int, streams: int,
+    trial: Callable[..., tuple[np.ndarray, ...]], score: Callable[..., dict[str, np.ndarray]],
+) -> Iterator[tuple[tuple, dict[str, np.ndarray]]]:
+    """Each ``(indices, values)`` cell's values with its trials' metric columns, cell by cell.
+
+    Trial ``t`` of a cell returns its row ``trial(*values, rngs)``, a tuple of
+    1-D arrays, with ``rngs`` from ``_trial_generators``. ``_chunks_scored``
+    gives the metric columns ``{name: values}`` of consecutive trials, which
+    fill the current cell's ``trials`` values a metric. As trial by trial, a
+    failing trial raises only after every cell before it has been yielded,
+    and raises what it raises on its own.
+    """
+    generators = _trial_generators(seed, [indices for indices, _ in cells], trials, streams)
+    drawn = (trial(*values, next(generators)) for _, values in cells for _ in range(trials))
+    full = (values for _, values in cells)  # each cell's values, yielded once its columns fill
+    columns, filled = {}, 0
+    for part in _chunks_scored(score, drawn):
+        size, done = len(next(iter(part.values()))), 0
+        while done < size:
+            columns = columns or {name: np.empty(trials) for name in part}
+            take = min(size - done, trials - filled)
+            for name, col in part.items():
+                columns[name][filled:filled + take] = col[done:done + take]
+            filled, done = filled + take, done + take
+            if filled == trials:
+                yield next(full), columns
+                columns, filled = {}, 0
+
+
+#: Longest rows, in pooled values, scored together; longer rows form chunks of at most
+#: two rows and go pair by pair. Per trial, us, median of 15 on one CPU (n values a group):
+#:   n (rows a chunk)   1000 (8)  2048 (4)  2730 (3)  2731 (2)  4096 (2)
+#:   row kernel             13.1      25.3      34.0      42.2      49.2
+#:   per-pair kernel        27.0      33.5      37.6      38.2      47.4
+_ROW_KERNEL_VALUES = 2 * 2730
 
 
 def _overlap_rows(
@@ -372,11 +385,12 @@ def _overlap_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """GSSMD and OVL of every row pair, with the bits of ``_gssmd_from_arrays``.
 
-    Rows go through ``_gssmd_rows``; a lone row (as when two rows do not fit
-    a chunk, or a row is scored again on its own) goes pair by pair, where
-    the per-pair kernel is faster (and raises as the per-trial path does).
+    Rows of up to ``_ROW_KERNEL_VALUES`` values go through ``_gssmd_rows``;
+    longer rows, and a lone row (as when a row is scored again on its own),
+    go pair by pair, where the per-pair kernel is faster (and raises as the
+    per-trial path does).
     """
-    if len(neg) > 1:
+    if len(neg) > 1 and neg.shape[1] + pos.shape[1] <= _ROW_KERNEL_VALUES:
         ovl = np.empty(len(neg))
         return _gssmd_rows(neg, pos, bins, ovl), ovl
     pairs = [_gssmd_from_arrays(a, b, bins) for a, b in zip(neg, pos)]
@@ -488,8 +502,8 @@ def run_subsampled_estimate(
     """Average metrics over repeated without-replacement subsamples.
 
     Each repeat draws ``subsample_size`` values from each group, neg then pos,
-    independently, and the repeats are scored as rows (``_scored``); the full
-    size with one repeat gives the direct metrics (both are permutation invariant).
+    independently, and the repeats are scored as rows (``_chunks_scored``); the
+    full size with one repeat gives the direct metrics (both are permutation invariant).
     """
     n = min(len(neg), len(pos))
     if subsample_size < 1 or subsample_size > n:
@@ -497,11 +511,12 @@ def run_subsampled_estimate(
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     rng = np.random.default_rng(seed)
-    rows = [(neg.values[rng.choice(len(neg), subsample_size, replace=False)],
-             pos.values[rng.choice(len(pos), subsample_size, replace=False)])
-            for _ in range(repeats)]
-    parts = _scored(lambda a, b: (_overlap_rows(a, b, bins)[0],
-                                  metrics.ssmd(SummaryStats.of(b), SummaryStats.of(a))), rows)
+    drawn = ((neg.values[rng.choice(len(neg), subsample_size, replace=False)],
+              pos.values[rng.choice(len(pos), subsample_size, replace=False)])
+             for _ in range(repeats))
+    parts = _chunks_scored(lambda a, b: (_overlap_rows(a, b, bins)[0],
+                                         metrics.ssmd(SummaryStats.of(b), SummaryStats.of(a))),
+                           drawn)
     gssmd, ssmd = (np.concatenate(column) for column in zip(*parts))
     return SubsampleEstimate(float(gssmd.mean()), float(ssmd.mean()))
 

@@ -727,3 +727,21 @@ def test_replayed_bins_over_the_cap_exit_2(tmp_path, capsys, bins):
     assert capsys.readouterr().err == (
         f"error: config key 'bins' for scenario fig1 must be <= {_CAP}, got {bins}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, code, line", [
+    ("--location", "-1e+308", 3, "numeric error: location -1e+308 and scale 1.0: null draws at "
+                                 "n = 3 leave the float range (overflow encountered in reduce)\n"),
+    ("--scale", "-inf", 2, "error: calibrate flag --scale must be a finite number, got -inf\n"),
+    ("--sizes", "-1e+308", 2, "error: calibrate flag --sizes must be a list of integers under "
+                              "2**63, got [-1e+308]\n"),
+], ids=["location", "scale", "sizes"])
+def test_negative_number_in_exponent_form_is_a_value(tmp_path, capsys, flag, value, code, line):
+    """``--flag -1e+308`` reads the value as ``--flag=-1e+308`` does: one line naming the
+    flag or the value, no usage text."""
+    for form in ([flag, value], [f"{flag}={value}"]):
+        argv = ["calibrate", "--seed", "1", "--out-dir", str(tmp_path / "out"),
+                "--sizes", "3", "--trials", "100", *form]
+        assert main(argv) == code
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "out").exists()

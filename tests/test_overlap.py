@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,7 +16,7 @@ from assayqc import (
     gssmd,
     ovl,
 )
-from assayqc.overlap import _gssmd_from_arrays, _gssmd_rows
+from assayqc.overlap import _gssmd_from_arrays, _gssmd_rows, _histogram_counts
 
 # Overlap of two unit-variance normals d apart is 2*Phi(-d/2); at d=1 that
 # is 0.6170750774519738 (frozen from numerical integration of the pointwise
@@ -336,3 +338,134 @@ class TestGssmdRowsOvl:
         assert_same_bits(_gssmd_rows(neg, pos, bins, ovl), per_pair_rows(neg, pos, bins))
         expected = np.array([_gssmd_from_arrays(a, b, bins).ovl for a, b in zip(neg, pos)])
         assert_same_bits(ovl, expected)
+
+
+# Row values that stress the counting rule: integers tie on edges, a few ulps
+# above 1.0 round edges onto each other, multiples of the smallest subnormal
+# make a step span/k that is 0 or rounds the last edges out of order.
+ROW_VALUES = {
+    "ties": st.integers(-3, 3).map(float),
+    "ulps": st.integers(0, 6).map(lambda k: 1.0 + k * np.spacing(1.0)),
+    "subnormal": st.integers(-6, 6).map(lambda k: k * 5e-324),
+    "normal": st.floats(-1e3, 1e3),
+    "wide": st.floats(-1e300, 1e300),  # bounded, so that a row's range stays finite
+}
+
+
+@st.composite
+def row_pairs(draw, max_rows=6):
+    """A (T, m) and a (T, n) block whose rows each take their values from one ROW_VALUES kind,
+    and a bin count: the default, 1 to 40, or more than the values, which slices the rows."""
+    rows, m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(ROW_VALUES)), min_size=rows, max_size=rows))
+    neg, pos = (np.array([draw(st.lists(ROW_VALUES[kind], min_size=size, max_size=size))
+                          for kind in kinds]).reshape(rows, size) for size in (m, n))
+    return neg, pos, draw(st.none() | st.integers(1, 40) | st.integers(41, 400))
+
+
+def outcome(run, *args):
+    """``run(*args)``, or the class and message of the ``ValueError`` it raised."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def numpy_histogram_counts(neg, pos, bins):
+    """Oracle: ``numpy.histogram`` on ``linspace`` edges over the pooled range, as the
+    per-pair kernel binned before it counted by itself (same all-equal rule)."""
+    lo, hi = min(neg.min(), pos.min()), max(neg.max(), pos.max())
+    if lo == hi:
+        return np.array([lo - 0.5, lo + 0.5]), np.array([neg.size]), np.array([pos.size])
+    edges = np.linspace(lo, hi, (bin_count(neg.size + pos.size) if bins is None else bins) + 1)
+    return edges, np.histogram(neg, bins=edges)[0], np.histogram(pos, bins=edges)[0]
+
+
+class TestCountingRule:
+    """Both kernels count by the values below each inner edge, as numpy.histogram bins."""
+
+    @settings(max_examples=300)
+    @given(row_pairs(max_rows=1))
+    def test_per_pair_counts_equal_numpy_histogram(self, pair):
+        neg, pos, bins = pair[0][0], pair[1][0], pair[2]
+        got, want = (outcome(run, neg, pos, bins)
+                     for run in (_histogram_counts, numpy_histogram_counts))
+        if isinstance(want[0], type):  # edges out of order: numpy raises, and so must the kernel
+            assert got == want
+            return
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+
+    @settings(max_examples=300)
+    @given(row_pairs())
+    def test_row_kernel_equals_the_per_pair_kernel(self, pairs):
+        neg, pos, bins = pairs
+        ovl = np.full(len(neg), np.nan)
+        got = outcome(_gssmd_rows, neg, pos, bins, ovl)
+        want = outcome(per_pair_rows, neg, pos, bins)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert_same_bits(got, want)
+        assert_same_bits(ovl, np.array([_gssmd_from_arrays(a, b, bins).ovl
+                                        for a, b in zip(neg, pos)]))
+
+    @pytest.mark.parametrize("units, bins", [([0, 3], 5), ([0, 1, 3], 5), ([-2, 3], 7)])
+    def test_edges_out_of_order_raise_as_numpy_does(self, units, bins):
+        # A span of 3 subnormal units over 5 bins: the step rounds up to 1 unit, so the
+        # fifth edge (4 units) passes the last (3), and numpy.histogram rejects the edges.
+        neg = np.array(units, dtype=float) * 5e-324
+        pos = neg[::-1].copy()
+        want = outcome(numpy_histogram_counts, neg, pos, bins)
+        assert isinstance(want[0], type)
+        assert outcome(_histogram_counts, neg, pos, bins) == want
+        assert outcome(_gssmd_rows, neg[None], pos[None], bins) == want
+
+    @pytest.mark.parametrize("bins", [None, 5, 40])
+    def test_subnormal_span_row_in_a_block_of_normal_rows(self, bins):
+        # A span of two subnormal units makes the step span/k 0: an array linspace
+        # with a zero step would rescale every row's edges, so the row goes pair by pair.
+        rng = np.random.default_rng(17)
+        neg, pos = rng.normal(size=(5, 9)), rng.normal(size=(5, 9))
+        neg[2], pos[2] = 5e-324 * rng.integers(0, 3, 9), 5e-324 * rng.integers(0, 3, 9)
+        neg[2, 0], pos[2, 0] = 0.0, 2 * 5e-324
+        assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
+
+    @pytest.mark.parametrize("bins", [10, 20, 40, 80])
+    def test_many_bins_slice_the_rows(self, bins):
+        # A slice holds 20 * 24 // (8 * (k + 1)) rows: 5, 2 and 1, and at 80 bins
+        # none, so every row goes pair by pair.
+        rng = np.random.default_rng(bins)
+        neg, pos = rng.normal(size=(20, 12)), rng.normal(0.5, 1, (20, 12))
+        assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
+
+
+class TestRowKernelMemory:
+    """The row kernel's temporaries stay a small multiple of the chunk it scores."""
+
+    @pytest.mark.parametrize("bins, bound", [
+        (None, 2.0),  # 11 bins, counted with searchsorted: sorted copies of the chunk
+        (9, 3.0),  # counted by comparison: a (8, 8, 1000) boolean block a group
+        (1000, 3.0),  # about 8 arrays of k + 1 counts a row: slices of one row
+    ])
+    def test_default_chunk(self, bins, bound):
+        neg, pos = np.random.default_rng(3).normal(size=(2, 8, 1000))
+        assert peak_bytes(_gssmd_rows, neg, pos, bins) <= bound * (neg.nbytes + pos.nbytes)
+
+    def test_edges_that_outgrow_the_chunk_go_pair_by_pair(self):
+        # Each pair holds its own 10**5 + 1 edges and counts, never every row's.
+        neg, pos = np.random.default_rng(4).normal(size=(2, 8, 1000))
+        edge_bytes = 8 * (10**5 + 1)
+        assert peak_bytes(_gssmd_rows, neg, pos, 10**5) <= 8 * (neg.nbytes + pos.nbytes
+                                                                 + edge_bytes)
+
+
+def peak_bytes(run, *args):
+    """Peak of the memory ``tracemalloc`` sees (numpy's arrays included) during ``run``."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

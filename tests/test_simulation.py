@@ -679,6 +679,45 @@ class TestSubsampledEstimateRows:
         assert outcome(subsampled_estimate_by_repeat, neg, pos, 2, 4, 1) is DegenerateVariance
         assert outcome(run_subsampled_estimate, neg, pos, 2, 4, 1) is DegenerateVariance
 
+    @pytest.mark.parametrize("budget, per_chunk", [(2 * 5 * 3, 3), (1, 1)])
+    def test_repeats_in_bounded_chunks_equal_one_block(self, monkeypatch, budget, per_chunk):
+        # 23 repeats of 5 + 5 values: one block at the default budget; under a tiny
+        # one, chunks of 3 repeats with a partial last one, or one repeat a chunk.
+        rng = np.random.default_rng(8)
+        neg, pos = SampleSet(rng.normal(size=40)), SampleSet(rng.normal(0.5, 1, 50))
+        whole = run_subsampled_estimate(neg, pos, 5, 23, 7, bins=None)
+        scored, chunks = simulation._scored, []
+        monkeypatch.setattr(simulation, "_scored",
+                            lambda score, rows: (chunks.append(len(rows)), scored(score, rows))[1])
+        monkeypatch.setattr(simulation, "_CALIBRATION_CHUNK_VALUES", budget)
+        chunked = run_subsampled_estimate(neg, pos, 5, 23, 7, bins=None)
+        assert [v.hex() for v in chunked] == [v.hex() for v in whole]
+        assert max(chunks) == per_chunk and sum(chunks) == 23
+
+
+class TestOverlapRowsRouting:
+    """Rows longer than the measured crossover go pair by pair, with the same bits."""
+
+    def test_long_rows_go_pair_by_pair(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("row kernel used for rows past the crossover")
+        n = simulation._ROW_KERNEL_VALUES // 2 + 1
+        neg, pos = np.random.default_rng(5).normal(size=(2, 3, n))
+        monkeypatch.setattr(simulation, "_gssmd_rows", unused)
+        gssmd, ovl = simulation._overlap_rows(neg, pos, None)
+        pairs = [_gssmd_from_arrays(a, b, None) for a, b in zip(neg, pos)]
+        assert gssmd.tolist() == [p.gssmd for p in pairs]
+        assert ovl.tolist() == [p.ovl for p in pairs]
+
+    def test_rows_up_to_the_crossover_go_through_the_row_kernel(self, monkeypatch):
+        rows, calls = simulation._gssmd_rows, []
+        monkeypatch.setattr(simulation, "_gssmd_rows",
+                            lambda *args: (calls.append(args[0].shape), rows(*args))[1])
+        neg, pos = np.random.default_rng(6).normal(size=(2, 2, simulation._ROW_KERNEL_VALUES // 2))
+        simulation._overlap_rows(neg, pos, None)
+        simulation._overlap_rows(neg[:1], pos[:1], None)  # a lone row goes pair by pair
+        assert calls == [neg.shape]
+
 
 def same_or_class(run, *args):
     """A run's result, or the class of what it raised, under the errstate in force."""
