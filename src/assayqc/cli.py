@@ -57,7 +57,7 @@ def _bin_count(text: str) -> int:
     return value
 
 
-def _number(text: str) -> int | float:  # for the calibrate rules to judge
+def number(text: str) -> int | float:  # for the calibrate rules to judge
     try:
         return int(text)
     except ValueError:
@@ -112,13 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[files],
                        help="null lower-bound calibration table for GSSMD")
     p.add_argument("--seed", type=_u64, required=True)
-    p.add_argument("--sizes", type=_number, nargs="+", default=list(DEFAULT_CALIBRATION_SIZES))
-    p.add_argument("--trials", type=_number, default=1000)
+    p.add_argument("--sizes", type=number, nargs="+", default=list(DEFAULT_CALIBRATION_SIZES))
+    p.add_argument("--trials", type=number, default=1000)
     p.add_argument("--dist", choices=_DIST_NAMES, default=_DIST_NAMES[0])
     p.add_argument("--location", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
-    for p in sub.choices.values():  # what float() reads, as -1e+308 or -inf, is a value
-        p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+    # argparse reads "-..." as a flag unless its private _negative_number_matcher (known to
+    # work on Python 3.11, which the tests run) matches it: make -1e+308 and -inf values.
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan).*", re.IGNORECASE)
     return parser
 
 

@@ -98,15 +98,15 @@ def _bin_counts(below: np.ndarray, size: int) -> np.ndarray:
 def _histogram_counts(neg: np.ndarray, pos: np.ndarray, bins: int | None):
     """Shared-edge counts for two raw arrays; handles the all-equal range.
 
-    Each group is sorted once, for the pooled range and ``searchsorted``; a non-finite
-    pair, or one whose last edges round out of order, goes through ``numpy.histogram``.
+    Groups of up to 2**16 values are sorted once, for the pooled range and ``searchsorted``;
+    longer groups (``numpy.histogram`` sorts 2**16 values at a time, not a whole copy), a
+    non-finite pair and one whose last edges round out of order go through ``numpy.histogram``.
     """
-    groups = np.sort(neg), np.sort(pos)
-    finite = all(math.isfinite(g[i]) for g in groups for i in (0, -1))
-    if finite:
-        lo, hi = min(groups[0][0], groups[1][0]), max(groups[0][-1], groups[1][-1])
-    else:
-        lo, hi = min(neg.min(), pos.min()), max(neg.max(), pos.max())
+    small = max(neg.size, pos.size) <= 1 << 16
+    groups = (np.sort(neg), np.sort(pos)) if small else (neg, pos)
+    finite = small and all(math.isfinite(g[i]) for g in groups for i in (0, -1))
+    ends = [(g[0], g[-1]) if finite else (g.min(), g.max()) for g in groups]
+    lo, hi = min(ends[0][0], ends[1][0]), max(ends[0][1], ends[1][1])
     if lo == hi:
         # All pooled samples identical: one unit-width bin, complete overlap.
         edges = np.array([lo - 0.5, lo + 0.5])

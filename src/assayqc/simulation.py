@@ -310,20 +310,10 @@ def _trial_generators(
 _CALIBRATION_CHUNK_VALUES = 2 ** 14
 
 
-def _scored(score: Callable, rows: list[tuple[np.ndarray, ...]]) -> Iterable:
-    """``score`` of the rows stacked into C-ordered blocks, or of each row alone if that fails."""
-    blocks = [parts[0][None] if len(parts) == 1 else np.array(parts) for parts in zip(*rows)]
-    try:
-        return [score(*blocks)]
-    except Exception:
-        if len(rows) == 1:
-            raise
-        return (score(*(block[r:r + 1] for block in blocks)) for r in range(len(rows)))
-
-
 def _chunks_scored(score: Callable, drawn: Iterator[tuple[np.ndarray, ...]]) -> Iterator:
-    """``_scored`` of the ``drawn`` rows, about ``_CALIBRATION_CHUNK_VALUES`` values (at least
-    one row) a chunk; a failing draw raises once the rows drawn before it are scored."""
+    """``score`` of the ``drawn`` rows stacked into C-ordered blocks, about
+    ``_CALIBRATION_CHUNK_VALUES`` values (at least one row) a chunk, or of each row alone if
+    its chunk fails; a failing draw raises once the rows drawn before it are scored."""
     chunk, failure = 0, None
     while failure is None:
         rows = []
@@ -337,7 +327,14 @@ def _chunks_scored(score: Callable, drawn: Iterator[tuple[np.ndarray, ...]]) -> 
             failure = exc
         if not rows:
             break
-        yield from _scored(score, rows)
+        blocks = [parts[0][None] if len(parts) == 1 else np.array(parts) for parts in zip(*rows)]
+        try:
+            scored = [score(*blocks)]
+        except Exception:
+            if len(rows) == 1:
+                raise
+            scored = (score(*(block[r:r + 1] for block in blocks)) for r in range(len(rows)))
+        yield from scored
     if failure is not None:
         raise failure
 
@@ -372,25 +369,16 @@ def _grid_scores(
                 columns, filled = {}, 0
 
 
-#: Longest rows, in pooled values, scored together; longer rows form chunks of at most
-#: two rows and go pair by pair. Per trial, us, median of 15 on one CPU (n values a group):
-#:   n (rows a chunk)   1000 (8)  2048 (4)  2730 (3)  2731 (2)  4096 (2)
-#:   row kernel             13.1      25.3      34.0      42.2      49.2
-#:   per-pair kernel        27.0      33.5      37.6      38.2      47.4
-_ROW_KERNEL_VALUES = 2 * 2730
-
-
 def _overlap_rows(
     neg: np.ndarray, pos: np.ndarray, bins: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """GSSMD and OVL of every row pair, with the bits of ``_gssmd_from_arrays``.
 
-    Rows of up to ``_ROW_KERNEL_VALUES`` values go through ``_gssmd_rows``;
-    longer rows, and a lone row (as when a row is scored again on its own),
-    go pair by pair, where the per-pair kernel is faster (and raises as the
-    per-trial path does).
+    Rows go through ``_gssmd_rows``; a lone row (as when two rows do not fit
+    a chunk, or a row is scored again on its own) goes pair by pair, where
+    the per-pair kernel is faster (and raises as the per-trial path does).
     """
-    if len(neg) > 1 and neg.shape[1] + pos.shape[1] <= _ROW_KERNEL_VALUES:
+    if len(neg) > 1:
         ovl = np.empty(len(neg))
         return _gssmd_rows(neg, pos, bins, ovl), ovl
     pairs = [_gssmd_from_arrays(a, b, bins) for a, b in zip(neg, pos)]
@@ -401,7 +389,7 @@ def _score_rows(neg: np.ndarray, pos: np.ndarray, bins: int | None) -> dict[str,
     """z_factor, ssmd, gssmd and ovl of every row pair of two C-ordered (T, n) blocks.
 
     Row ``t`` has the bits of ``metrics`` and ``_gssmd_from_arrays`` on its pair. A
-    degenerate row fails the block, which ``_scored`` then scores row by row.
+    degenerate row fails the block, which ``_chunks_scored`` then scores row by row.
     """
     s_neg, s_pos = SummaryStats.of(neg), SummaryStats.of(pos)
     gssmd, ovl = _overlap_rows(neg, pos, bins)

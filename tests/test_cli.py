@@ -745,3 +745,10 @@ def test_negative_number_in_exponent_form_is_a_value(tmp_path, capsys, flag, val
         assert main(argv) == code
         assert capsys.readouterr().err == line
         assert not (tmp_path / "out").exists()
+
+
+def test_a_value_that_is_no_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--seed", "1", "--trials", "abc"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --trials: invalid number value: 'abc'\n")

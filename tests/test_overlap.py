@@ -469,3 +469,12 @@ def peak_bytes(run, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_groups_above_two_to_the_sixteen_values_keep_numpy_histogram_blocks():
+    # numpy.histogram sorts 2**16 values at a time (about 1 MB at its peak here);
+    # a whole sorted copy of both groups would peak at their own 4 MB.
+    neg, pos = np.random.default_rng(9).normal(size=(2, 4 * 2**16))
+    for a, b in zip(_histogram_counts(neg, pos, None), numpy_histogram_counts(neg, pos, None)):
+        np.testing.assert_array_equal(a, b)
+    assert peak_bytes(_histogram_counts, neg, pos, None) <= 0.5 * (neg.nbytes + pos.nbytes)

@@ -686,37 +686,13 @@ class TestSubsampledEstimateRows:
         rng = np.random.default_rng(8)
         neg, pos = SampleSet(rng.normal(size=40)), SampleSet(rng.normal(0.5, 1, 50))
         whole = run_subsampled_estimate(neg, pos, 5, 23, 7, bins=None)
-        scored, chunks = simulation._scored, []
-        monkeypatch.setattr(simulation, "_scored",
-                            lambda score, rows: (chunks.append(len(rows)), scored(score, rows))[1])
+        rows, chunks = simulation._overlap_rows, []  # called once a chunk
+        monkeypatch.setattr(simulation, "_overlap_rows",
+                            lambda neg, *args: (chunks.append(len(neg)), rows(neg, *args))[1])
         monkeypatch.setattr(simulation, "_CALIBRATION_CHUNK_VALUES", budget)
         chunked = run_subsampled_estimate(neg, pos, 5, 23, 7, bins=None)
         assert [v.hex() for v in chunked] == [v.hex() for v in whole]
         assert max(chunks) == per_chunk and sum(chunks) == 23
-
-
-class TestOverlapRowsRouting:
-    """Rows longer than the measured crossover go pair by pair, with the same bits."""
-
-    def test_long_rows_go_pair_by_pair(self, monkeypatch):
-        def unused(*args):
-            raise AssertionError("row kernel used for rows past the crossover")
-        n = simulation._ROW_KERNEL_VALUES // 2 + 1
-        neg, pos = np.random.default_rng(5).normal(size=(2, 3, n))
-        monkeypatch.setattr(simulation, "_gssmd_rows", unused)
-        gssmd, ovl = simulation._overlap_rows(neg, pos, None)
-        pairs = [_gssmd_from_arrays(a, b, None) for a, b in zip(neg, pos)]
-        assert gssmd.tolist() == [p.gssmd for p in pairs]
-        assert ovl.tolist() == [p.ovl for p in pairs]
-
-    def test_rows_up_to_the_crossover_go_through_the_row_kernel(self, monkeypatch):
-        rows, calls = simulation._gssmd_rows, []
-        monkeypatch.setattr(simulation, "_gssmd_rows",
-                            lambda *args: (calls.append(args[0].shape), rows(*args))[1])
-        neg, pos = np.random.default_rng(6).normal(size=(2, 2, simulation._ROW_KERNEL_VALUES // 2))
-        simulation._overlap_rows(neg, pos, None)
-        simulation._overlap_rows(neg[:1], pos[:1], None)  # a lone row goes pair by pair
-        assert calls == [neg.shape]
 
 
 def same_or_class(run, *args):
