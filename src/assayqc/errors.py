@@ -36,6 +36,10 @@ class DegenerateMeanDifference(NumericError):
     """Z'-factor is undefined when the two group means coincide."""
 
 
+class EdgesOutOfOrder(NumericError, ValueError):
+    """Equal-width bins over a few subnormal units round their last edges out of order."""
+
+
 # --- simulation errors ------------------------------------------------------
 
 class ZeroPowerSignal(NumericError):

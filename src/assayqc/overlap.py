@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EdgesOutOfOrder
 from .samples import SampleSet
 
 
@@ -99,8 +100,9 @@ def _histogram_counts(neg: np.ndarray, pos: np.ndarray, bins: int | None):
     """Shared-edge counts for two raw arrays; handles the all-equal range.
 
     Groups of up to 2**16 values are sorted once, for the pooled range and ``searchsorted``;
-    longer groups (``numpy.histogram`` sorts 2**16 values at a time, not a whole copy), a
-    non-finite pair and one whose last edges round out of order go through ``numpy.histogram``.
+    longer groups (``numpy.histogram`` sorts 2**16 values at a time, not a whole copy) and a
+    non-finite pair go through ``numpy.histogram``. Edges whose last ones round out of order
+    (a span of a few subnormal units) raise ``EdgesOutOfOrder``, where numpy's error would.
     """
     small = max(neg.size, pos.size) <= 1 << 16
     groups = (np.sort(neg), np.sort(pos)) if small else (neg, pos)
@@ -116,7 +118,10 @@ def _histogram_counts(neg: np.ndarray, pos: np.ndarray, bins: int | None):
     elif bins < 1:
         raise ValueError("bins must be >= 1")
     edges = np.linspace(lo, hi, bins + 1)
-    if not finite or edges[-2] > hi:
+    if edges[-2] > hi:  # False for a non-finite pair, which keeps numpy's errors
+        raise EdgesOutOfOrder(f"{bins} equal-width bins over the pooled range [{float(lo)!r}, "
+                              f"{float(hi)!r}] round their last edges out of order")
+    if not finite:
         return edges, *(np.histogram(g, bins=edges)[0] for g in (neg, pos))
     return edges, *(_bin_counts(g.searchsorted(edges[1:-1]), g.size) for g in groups)
 
@@ -196,16 +201,22 @@ def _gssmd_rows(
 
     Row ``t`` equals ``_gssmd_from_arrays(neg[t], pos[t], bins).gssmd`` bit
     for bit; given ``ovl``, an array of T values, row ``t`` of it receives
-    that result's ``.ovl``. Rows get ``linspace`` edges between the ends of
-    their sorted rows, and up to 9 bins are counted by comparing values with
-    the inner edges (a (T, k-1, m) boolean block is within the rows' float
-    bytes), more by ``searchsorted``, a slice of rows whose counts fit those
-    bytes at a time. Non-finite rows, rows with a subnormal step span/k (an
-    array ``linspace`` with a zero step rescales every row) and rows whose
-    edges alone outgrow the bytes go through the per-pair kernel.
+    that result's ``.ovl``. A lone row (T = 1) goes pair by pair. Rows get
+    ``linspace`` edges between the ends of their sorted rows, and up to 9
+    bins are counted by comparing values with the inner edges (a (T, k-1, m)
+    boolean block is within the rows' float bytes), more by ``searchsorted``,
+    a slice of rows whose counts fit those bytes at a time. Non-finite rows,
+    rows with a subnormal step span/k (an array ``linspace`` with a zero step
+    rescales every row) and rows whose edges alone outgrow the bytes go
+    through the per-pair kernel.
     """
     rows, m = neg.shape
     n = pos.shape[1]
+    ovl_rows = np.empty(rows) if ovl is None else ovl
+    if rows == 1:  # a chunk of one trial, or a row scored again: faster, and raises as a pair
+        pair = _gssmd_from_arrays(neg[0], pos[0], bins)
+        ovl_rows[0] = pair.ovl
+        return np.array([pair.gssmd])
     k = bin_count(m + n) if bins is None else bins
     if k < 1:
         raise ValueError("bins must be >= 1")
@@ -216,7 +227,6 @@ def _gssmd_rows(
     compare = k <= 9
     step = rows if compare else rows * (m + n) // (8 * (k + 1))  # about 8 (rows, k) arrays
     binned = np.isfinite(span) & (span / k >= np.finfo(np.float64).tiny) & (step > 0)
-    ovl_rows = np.empty(rows) if ovl is None else ovl
     ovl_rows[:] = 1.0  # all pooled values equal: complete overlap
     todo = np.flatnonzero(binned)
     for s in range(0, todo.size, max(step, 1)):

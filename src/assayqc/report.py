@@ -10,6 +10,7 @@ flag false.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -94,21 +95,25 @@ def _acceptance_flags(z: float | None, s: float | None, g: float) -> dict[str, b
 def compute_metric_report(
     neg: SampleSet, pos: SampleSet, bins: int | None = None
 ) -> MetricReport:
-    """Summarize both groups and evaluate every metric on the pair."""
+    """Summarize both groups and evaluate every metric on the pair; one that overflows to a
+    non-finite value, which no report format holds, raises ``NumericError`` naming it."""
     s_neg, s_pos = summarize(neg), summarize(pos)
 
-    def guarded(fn):
+    def guarded(name, fn):
         try:
-            return fn(s_pos, s_neg)
+            value = fn(s_pos, s_neg)
         except NumericError:
             return None
+        if not math.isfinite(value):
+            raise NumericError(f"{name} of these controls is {value}, outside the float range")
+        return value
 
-    z = guarded(metrics.z_factor)
-    s = guarded(metrics.ssmd)
+    z = guarded("z_factor", metrics.z_factor)
+    s = guarded("ssmd", metrics.ssmd)
     ov = overlap_gssmd(neg, pos, bins)
     return MetricReport(
-        snr=guarded(metrics.snr_assay),
-        sbr=guarded(metrics.sbr),
+        snr=guarded("snr", metrics.snr_assay),
+        sbr=guarded("sbr", metrics.sbr),
         z_factor=z,
         ssmd=s,
         cnr=None if s is None else abs(s),

@@ -3,6 +3,7 @@
 A ``SampleSet`` is one labeled group of scalar readouts (e.g. the negative
 controls of a plate); ``summarize`` reduces it to the moments every
 parametric metric consumes, for one group or for each row of a block.
+``_finite`` checks a group, for ``SampleSet`` and for the simulation trials.
 """
 
 from __future__ import annotations
@@ -14,26 +15,26 @@ import numpy as np
 from .errors import EmptySampleSet, NonFiniteValue
 
 
+def _finite(values, label: str = "") -> np.ndarray:
+    """``values`` as a flat float64 array, not copied if it is one; raises ``EmptySampleSet``
+    if it is empty, ``NonFiniteValue`` if a value is NaN or infinite, naming it by ``label``."""
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    if arr.size == 0:
+        raise EmptySampleSet(f"sample set {label!r} is empty")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValue(f"sample set {label!r} contains non-finite values")
+    return arr
+
+
 @dataclass(frozen=True)
 class SampleSet:
-    """An immutable, validated vector of finite measurements.
-
-    Raises ``EmptySampleSet`` for zero-length input and ``NonFiniteValue``
-    (also a ``ValueError``) if any value is NaN or infinite.
-    """
+    """An immutable copy of a non-empty vector of finite measurements, checked by ``_finite``."""
 
     values: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        if arr.size == 0:
-            raise EmptySampleSet(f"sample set {self.label!r} is empty")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"sample set {self.label!r} contains non-finite values")
-        arr = arr.copy()
+        arr = _finite(self.values, self.label).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -27,11 +27,10 @@ from .simulation import (
     GridPoint,
     ScenarioConfig,
     ScenarioResult,
+    _noisy_pair,
     _run_grid,
-    add_awgn,
     calibrate_null,
     derive_seed,
-    draw,
     run_mean_difference_sweep,
     run_noise_sweep,
     run_outlier_sweep,
@@ -323,10 +322,9 @@ def _subsample_panel(cfg: dict, seed: int, bins: int | None) -> list[GridPoint]:
     size, repeats, n = cfg["subsample_size"], cfg["subsample_repeats"], cfg["n"]
     names = ("gssmd_subsampled", "ssmd_subsampled", "gssmd_full", "ssmd_full")
 
-    def trial(d, snr, rngs):
-        base = draw(DistributionSpec.normal(0.0, 1.0), n, rngs[0])
-        neg = add_awgn(base, snr, rngs[1])
-        pos = add_awgn(SampleSet(base.values + d), snr, rngs[2])
+    def trial(d, snr, rngs):  # the noise sweep's trial on N(0, 1); its draw keeps draw()'s label
+        pair = _noisy_pair(DistributionSpec.normal(0.0, 1.0), n, d, snr, rngs, "normal")
+        neg, pos = map(SampleSet, pair)
         sub = run_subsampled_estimate(neg, pos, size, repeats, rngs[3], bins)
         full = run_subsampled_estimate(neg, pos, n, 1, rngs[4], bins)
         return (np.array([*sub, *full]),)

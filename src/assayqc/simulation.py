@@ -18,9 +18,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import _DIST_NAMES, metrics
-from .errors import ConfigError, InvalidSubsampleSize, NumericError, ZeroPowerSignal
-from .overlap import _gssmd_from_arrays, _gssmd_rows
-from .samples import SampleSet, SummaryStats
+from .errors import (ConfigError, EdgesOutOfOrder, InvalidSubsampleSize, NumericError,
+                     ZeroPowerSignal)
+from .overlap import _gssmd_rows
+from .samples import SampleSet, SummaryStats, _finite
 
 NORMAL, LOGNORMAL = _DIST_NAMES
 
@@ -86,17 +87,21 @@ def inject_outliers(
     Positions are chosen uniformly without replacement; the replacement
     count uses round-half-even. ``fraction`` 0 returns the input unchanged.
     """
+    values = _with_outliers(samples.values, fraction, outlier, seed)
+    return samples if values is samples.values else SampleSet(values, label=samples.label)
+
+
+def _with_outliers(values: np.ndarray, fraction: float, outlier: DistributionSpec, seed):
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError("outlier fraction must lie in [0, 1]")
-    n = len(samples)
-    k = int(round(fraction * n))
+    k = int(round(fraction * values.size))
     if k == 0:
-        return samples
+        return values
     rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=k, replace=False)
-    values = samples.values.copy()
+    idx = rng.choice(values.size, size=k, replace=False)
+    values = values.copy()
     values[idx] = _sample(outlier, k, rng)
-    return SampleSet(values, label=samples.label)
+    return values
 
 
 def add_awgn(signal: SampleSet, snr_db: float, seed) -> SampleSet:
@@ -106,7 +111,10 @@ def add_awgn(signal: SampleSet, snr_db: float, seed) -> SampleSet:
     is P_signal / 10^(snr_db/10) and the noise is zero-mean, elementwise
     independent.
     """
-    v = signal.values
+    return SampleSet(_noised(signal.values, snr_db, seed), label=signal.label)
+
+
+def _noised(v: np.ndarray, snr_db: float, seed) -> np.ndarray:
     power = float(np.mean(v * v))
     if power == 0.0:
         raise ZeroPowerSignal("cannot scale noise against a zero-power signal")
@@ -116,7 +124,7 @@ def add_awgn(signal: SampleSet, snr_db: float, seed) -> SampleSet:
         raise NumericError(f"snr_db {snr_db!r} is out of range: 10^(snr_db/10) is not a "
                            "positive finite float") from None
     rng = np.random.default_rng(seed)
-    return SampleSet(v + rng.normal(0.0, np.sqrt(noise_var), v.size), label=signal.label)
+    return v + rng.normal(0.0, np.sqrt(noise_var), v.size)
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -369,22 +377,6 @@ def _grid_scores(
                 columns, filled = {}, 0
 
 
-def _overlap_rows(
-    neg: np.ndarray, pos: np.ndarray, bins: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """GSSMD and OVL of every row pair, with the bits of ``_gssmd_from_arrays``.
-
-    Rows go through ``_gssmd_rows``; a lone row (as when two rows do not fit
-    a chunk, or a row is scored again on its own) goes pair by pair, where
-    the per-pair kernel is faster (and raises as the per-trial path does).
-    """
-    if len(neg) > 1:
-        ovl = np.empty(len(neg))
-        return _gssmd_rows(neg, pos, bins, ovl), ovl
-    pairs = [_gssmd_from_arrays(a, b, bins) for a, b in zip(neg, pos)]
-    return np.array([p.gssmd for p in pairs]), np.array([p.ovl for p in pairs])
-
-
 def _score_rows(neg: np.ndarray, pos: np.ndarray, bins: int | None) -> dict[str, np.ndarray]:
     """z_factor, ssmd, gssmd and ovl of every row pair of two C-ordered (T, n) blocks.
 
@@ -392,7 +384,8 @@ def _score_rows(neg: np.ndarray, pos: np.ndarray, bins: int | None) -> dict[str,
     degenerate row fails the block, which ``_chunks_scored`` then scores row by row.
     """
     s_neg, s_pos = SummaryStats.of(neg), SummaryStats.of(pos)
-    gssmd, ovl = _overlap_rows(neg, pos, bins)
+    ovl = np.empty(len(neg))
+    gssmd = _gssmd_rows(neg, pos, bins, ovl)
     return {"z_factor": metrics.z_factor(s_pos, s_neg), "ssmd": metrics.ssmd(s_pos, s_neg),
             "gssmd": gssmd, "ovl": ovl}
 
@@ -440,11 +433,10 @@ def run_outlier_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.outlier_fractions is None or cfg.outlier_means is None:
         raise ConfigError("outlier sweep needs outlier_fractions and outlier_means grids")
 
-    def trial(frac, om, rngs):
-        neg = draw(cfg.neg, cfg.n, rngs[0])
-        pos = draw(cfg.neg, cfg.n, rngs[1])
+    def trial(frac, om, rngs):  # each array checked where a SampleSet would check it
+        neg, pos = (_finite(_sample(cfg.neg, cfg.n, rng), cfg.neg.kind) for rng in rngs[:2])
         outlier = DistributionSpec.normal(om, cfg.outlier_scale)
-        return neg.values, inject_outliers(pos, frac, outlier, rngs[2]).values
+        return neg, _finite(_with_outliers(pos, frac, outlier, rngs[2]), cfg.neg.kind)
 
     axes = {"fraction": cfg.outlier_fractions, "outlier_mean": cfg.outlier_means}
     points = _run_grid(cfg.seed, axes, cfg.trials, 3, trial,
@@ -464,14 +456,18 @@ def run_noise_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     if not cfg.mu_diffs:
         raise ConfigError("noise sweep needs a mu_diffs grid")
 
-    def trial(d, snr, rngs):
-        base = _sample(cfg.neg, cfg.n, rngs[0])
-        return (add_awgn(SampleSet(base), snr, rngs[1]).values,
-                add_awgn(SampleSet(base + d), snr, rngs[2]).values)
-
+    trial = functools.partial(_noisy_pair, cfg.neg, cfg.n)
     points = _run_grid(cfg.seed, {"mu_diff": cfg.mu_diffs, "snr_db": cfg.snr_db},
                        cfg.trials, 3, trial, functools.partial(_score_rows, bins=cfg.bins))
     return ScenarioResult("noise", points, cfg.n, cfg.trials, cfg.seed, cfg.bins)
+
+
+def _noisy_pair(dist: DistributionSpec, n: int, d: float, snr: float, rngs, label=""):
+    """A noise trial: a draw (stream 0) noised (stream 1), and the draw shifted by ``d`` noised
+    (stream 2), each array checked; ``label`` names the draw and its noised copy."""
+    base = _finite(_sample(dist, n, rngs[0]), label)
+    return (_finite(_noised(base, snr, rngs[1]), label),
+            _finite(_noised(_finite(base + d), snr, rngs[2])))
 
 
 class SubsampleEstimate(NamedTuple):
@@ -502,7 +498,7 @@ def run_subsampled_estimate(
     drawn = ((neg.values[rng.choice(len(neg), subsample_size, replace=False)],
               pos.values[rng.choice(len(pos), subsample_size, replace=False)])
              for _ in range(repeats))
-    parts = _chunks_scored(lambda a, b: (_overlap_rows(a, b, bins)[0],
+    parts = _chunks_scored(lambda a, b: (_gssmd_rows(a, b, bins),
                                          metrics.ssmd(SummaryStats.of(b), SummaryStats.of(a))),
                            drawn)
     gssmd, ssmd = (np.concatenate(column) for column in zip(*parts))
@@ -571,13 +567,13 @@ def calibrate_null(
         return _sample(dist, n, rngs[0]), _sample(dist, n, rngs[1])
 
     def score(neg, pos):  # a null pair of one value has a GSSMD but no SSMD
-        return {"gssmd": _overlap_rows(neg, pos, bins)[0]}
+        return {"gssmd": _gssmd_rows(neg, pos, bins)}
 
     rows = []
     for i, n in enumerate(sizes):
         try:
             [(_, columns)] = _grid_scores(seed, [((i,), (n,))], trials, 2, trial, score)
-        except FloatingPointError as exc:  # under np.errstate(..., "raise"), as in the CLI
+        except (FloatingPointError, EdgesOutOfOrder) as exc:  # CLI errstate; subnormal draws
             raise NumericError(f"location {dist.location!r} and scale {dist.scale!r}: null "
                                f"draws at n = {n} leave the float range ({exc})") from None
         signed = columns["gssmd"]

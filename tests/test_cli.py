@@ -752,3 +752,63 @@ def test_a_value_that_is_no_number_is_a_usage_error(capsys):
         main(["calibrate", "--seed", "1", "--trials", "abc"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("argument --trials: invalid number value: 'abc'\n")
+
+
+# Subnormal groups: a span of a few units of 5e-324 over 5 bins rounds the last edges out
+# of order, which numpy.histogram rejects with a ValueError.
+SUBNORMAL_NEG, SUBNORMAL_POS = [0.0, 1e-323, 5e-324], [1.5e-323, 0.0, 1e-323]
+
+
+def test_subnormal_groups_exit_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "groups.csv"
+    write_group_csv(path, SUBNORMAL_NEG, SUBNORMAL_POS)
+    assert main(["metrics", str(path), "--bins", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("numeric error: 5 equal-width bins over the pooled range "
+                                 "[0.0, 1.5e-323] round their last edges out of order\n")
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 5])
+def test_subnormal_null_draws_name_the_size_and_exit_3(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert main(["calibrate", "--seed", str(seed), "--sizes", "8", "--trials", "100",
+                 "--scale", "1e-323", "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: location 0.0 and scale 1e-323: null draws at n = 8 ")
+    assert err.count("\n") == 1 and "round their last edges out of order" in err, err
+    assert not out.exists()
+
+
+# Control wells whose Z'-factor overflows to -inf: the mean difference is about 3e-301.
+OVERFLOW_NEG, OVERFLOW_POS = [-1e150, 1e150], [-1e150, 1e150, 1e-300]
+OVERFLOW_LINE = "numeric error: z_factor of these controls is -inf, outside the float range\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_metric_that_overflows_exits_3_in_either_format(tmp_path, capsys, fmt):
+    path = tmp_path / "groups.csv"
+    write_group_csv(path, OVERFLOW_NEG, OVERFLOW_POS)
+    assert main(["metrics", str(path), "--format", fmt]) == 3
+    assert capsys.readouterr() == ("", OVERFLOW_LINE)
+
+
+@pytest.mark.parametrize("argv", [["metrics"], ["hits", "--rule", "sigma"]],
+                         ids=["metrics", "hits-sigma"])
+def test_plate_metric_that_overflows_exits_3(tmp_path, capsys, argv):
+    path = tmp_path / "plate.csv"
+    write_plate_csv(path, {"P1": (OVERFLOW_NEG, OVERFLOW_POS, [0.0])})
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    assert capsys.readouterr() == ("", OVERFLOW_LINE)
+
+
+def test_panel_d_names_its_normal_draw_when_its_noise_leaves_the_float_range(tmp_path, capsys):
+    # At -3080 dB the noise variance overflows for some draws and not others; here panel A
+    # and panel C pass, and panel D's noised negative group is infinite.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snr_db": [-3080.0], "trials": 1, "n": 2, "mu_diffs": [0],
+                               "panel_c_sizes": [2], "subsample_size": 2}))
+    out = tmp_path / "out"
+    assert main(["simulate", "fig5", "--seed", "1", "--out-dir", str(out),
+                 "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: sample set 'normal' contains non-finite values\n"
+    assert not out.exists()

@@ -686,8 +686,8 @@ class TestSubsampledEstimateRows:
         rng = np.random.default_rng(8)
         neg, pos = SampleSet(rng.normal(size=40)), SampleSet(rng.normal(0.5, 1, 50))
         whole = run_subsampled_estimate(neg, pos, 5, 23, 7, bins=None)
-        rows, chunks = simulation._overlap_rows, []  # called once a chunk
-        monkeypatch.setattr(simulation, "_overlap_rows",
+        rows, chunks = simulation._gssmd_rows, []  # called once a chunk
+        monkeypatch.setattr(simulation, "_gssmd_rows",
                             lambda neg, *args: (chunks.append(len(neg)), rows(neg, *args))[1])
         monkeypatch.setattr(simulation, "_CALIBRATION_CHUNK_VALUES", budget)
         chunked = run_subsampled_estimate(neg, pos, 5, 23, 7, bins=None)
@@ -701,6 +701,64 @@ def same_or_class(run, *args):
         return repr(run(*args))
     except Exception as exc:
         return type(exc)
+
+
+def quiet_outcome(run, *args):
+    """A run's points, or the class of what it raised, under numpy's default errstate but
+    silent: an overflow gives inf without raising, so the sweep's own checks meet it."""
+    with np.errstate(all="ignore"):
+        return same_or_class(run, *args)
+
+
+outlier_fraction_grid = st.lists(st.floats(0, 1), min_size=1, max_size=3, unique=True)
+outlier_mean_grid = st.lists(st.floats(-30, 30) | st.just(np.inf) | st.floats(-1e150, 1e150),
+                             min_size=1, max_size=3, unique=True)
+
+
+class TestSweepsWithoutRaisingErrstate:
+    """Without a raising errstate, most non-finite values reach the checks at each trial
+    step: the sweeps must raise what the trial-by-trial path raises first."""
+
+    @settings(max_examples=300)
+    @given(cfg=sweep_configs(outlier_fractions=outlier_fraction_grid,
+                             outlier_means=outlier_mean_grid),
+           chunk=st.sampled_from([64, 2 ** 14]))
+    def test_outlier_sweep(self, cfg, chunk):
+        with mock.patch.object(simulation, "_CALIBRATION_CHUNK_VALUES", chunk):
+            got = quiet_outcome(lambda: run_outlier_sweep(cfg).points)
+        assert got == quiet_outcome(recomputed_outlier_points, cfg)
+
+    @settings(max_examples=300)
+    @given(cfg=sweep_configs(mu_diffs=grid, snr_db=snr_grid), chunk=st.sampled_from([64, 2 ** 14]))
+    def test_noise_sweep(self, cfg, chunk):
+        with mock.patch.object(simulation, "_CALIBRATION_CHUNK_VALUES", chunk):
+            got = quiet_outcome(lambda: run_noise_sweep(cfg).points)
+        assert got == quiet_outcome(recomputed_noise_points, cfg)
+
+    @settings(max_examples=100)
+    @given(n=st.integers(2, 60), trials=st.integers(1, 12), mu_diffs=grid,
+           snr_db=snr_grid | st.lists(st.floats(-3090, -3070), min_size=1, max_size=2),
+           size=st.integers(1, 60), repeats=st.integers(1, 4), seed=st.integers(0, 2 ** 64 - 1),
+           bins=st.none() | st.integers(1, 5))
+    def test_subsample_panel(self, n, trials, mu_diffs, snr_db, size, repeats, seed, bins):
+        # Near -3080 dB the noise variance overflows for some draws only.
+        cfg = {"n": n, "trials": trials, "mu_diffs": mu_diffs, "snr_db": snr_db,
+               "subsample_size": min(size, n), "subsample_repeats": repeats}
+        assert (quiet_outcome(scenarios._subsample_panel, cfg, seed, bins)
+                == quiet_outcome(recomputed_subsample_points, cfg, seed, bins))
+
+    def test_trials_build_no_sample_set(self, monkeypatch):
+        outliers = ScenarioConfig(neg=NORMAL, n=40, seed=5, trials=3, bins=4,
+                                  outlier_fractions=(0.0, 0.25), outlier_means=(5.0, 20.0))
+        noise = ScenarioConfig(neg=DistributionSpec.lognormal(0, 0.5), mu_diffs=(0.0, 2.0),
+                               n=30, seed=6, trials=2, snr_db=(0.0, 30.0))
+        want = [recomputed_outlier_points(outliers), recomputed_noise_points(noise)]
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a sweep trial built a SampleSet")
+        monkeypatch.setattr(simulation, "SampleSet", unused)
+        got = [run_outlier_sweep(outliers).points, run_noise_sweep(noise).points]
+        assert same_points(got, want)
 
 
 class TestGridSeedStates:
