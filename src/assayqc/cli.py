@@ -22,8 +22,6 @@ what the parser needs; each subcommand imports the rest of what it uses:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import re
 import sys
 from dataclasses import asdict
@@ -140,33 +138,23 @@ def _load_group_csv(rows) -> tuple[SampleSet, SampleSet]:
     return SampleSet(groups["neg"], label="neg"), SampleSet(groups["pos"], label="pos")
 
 
-def _report_csv(reports: list[dict]) -> str:
-    from .report import text12
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-
-    def walk(prefix: str, obj):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                walk(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(obj, list):
-            writer.writerow([prefix, ";".join(str(v) for v in obj)])
-        else:
-            value = text12(obj) if isinstance(obj, float) else obj
-            writer.writerow([prefix, value])
-
-    for report in reports:
-        walk("", report)
-    return buf.getvalue()
+def _key_values(prefix: str, obj):
+    """A report's ``key,value`` rows: dotted keys, lists joined by ``;``."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _key_values(f"{prefix}.{k}" if prefix else str(k), v)
+    elif isinstance(obj, list):
+        yield [prefix, ";".join(str(v) for v in obj)]
+    else:
+        yield [prefix, obj]
 
 
 def _emit(payload: dict | list, fmt: str, out: Path | None) -> None:
-    from .report import json_dumps
+    from .report import csv_text, json_dumps
 
     if fmt == "csv":
-        text = _report_csv(payload if isinstance(payload, list) else [payload])
+        reports = payload if isinstance(payload, list) else [payload]
+        text = csv_text([["key", "value"], *(row for r in reports for row in _key_values("", r))])
     else:
         text = json_dumps(payload)
     if out is not None:

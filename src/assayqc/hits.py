@@ -26,6 +26,7 @@ from .errors import (
     DegenerateVariance,
     InsufficientControls,
     InvalidRuleParameter,
+    NumericError,
     SingleClassInput,
     ZeroSign,
 )
@@ -183,9 +184,10 @@ class LogisticModel:
     iterations: int
 
 
-def fit_logistic_1d(
-    neg, pos, max_iters: int = 50, tol: float = 1e-8, ridge: float = 1e-8
-) -> LogisticModel:
+_IRLS_MAX_ITERS, _IRLS_TOL, _IRLS_RIDGE = 50, 1e-8, 1e-8
+
+
+def fit_logistic_1d(neg, pos) -> LogisticModel:
     """Fit by iteratively reweighted least squares with ridge-damped normal equations.
 
     Accepts SampleSets or raw arrays (label 0 = negative, 1 = positive).
@@ -209,14 +211,14 @@ def fit_logistic_1d(
     ll_prev = -np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, _IRLS_MAX_ITERS + 1):
         eta = b0 + b1 * z
         p = 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
         w = p * (1.0 - p)
         r = y - p
-        a00 = w.sum() + ridge
+        a00 = w.sum() + _IRLS_RIDGE
         a01 = (w * z).sum()
-        a11 = (w * z * z).sum() + ridge
+        a11 = (w * z * z).sum() + _IRLS_RIDGE
         g0, g1 = r.sum(), (r * z).sum()
         det = a00 * a11 - a01 * a01
         d0 = (a11 * g0 - a01 * g1) / det
@@ -224,7 +226,7 @@ def fit_logistic_1d(
         b0 += d0
         b1 += d1
         ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-        if max(abs(d0), abs(d1)) < tol or abs(ll - ll_prev) < tol:
+        if max(abs(d0), abs(d1)) < _IRLS_TOL or abs(ll - ll_prev) < _IRLS_TOL:
             converged = True
             break
         ll_prev = ll
@@ -303,19 +305,21 @@ def compute_threshold(
 
     The overlap and logistic rules derive the direction from the controls;
     an explicit ``direction`` is honored only by the one-sided sigma/ssmd
-    rules.
+    rules. A non-finite boundary, which no report holds, raises ``NumericError``.
     """
     if rule.kind is RuleKind.GSSMD_OVERLAP:
         cut = gssmd_threshold(neg, pos, alpha=rule.parameter, bins=bins)
-        return cut.threshold, cut.direction
-    if rule.kind is RuleKind.LOGISTIC:
-        model = fit_logistic_1d(neg, pos)
-        return model.boundary, _direction_from_means(neg, pos)
-    if direction is None:
-        direction = _direction_from_means(neg, pos)
-    if rule.kind is RuleKind.SIGMA:
-        return sigma_rule_threshold(neg, rule.parameter, direction), direction
-    return ssmd_rule_threshold(neg, rule.parameter, direction), direction
+        threshold, direction = cut.threshold, cut.direction
+    elif rule.kind is RuleKind.LOGISTIC:
+        threshold, direction = fit_logistic_1d(neg, pos).boundary, _direction_from_means(neg, pos)
+    else:
+        if direction is None:
+            direction = _direction_from_means(neg, pos)
+        shifted = sigma_rule_threshold if rule.kind is RuleKind.SIGMA else ssmd_rule_threshold
+        threshold = shifted(neg, rule.parameter, direction)
+    if not math.isfinite(threshold):
+        raise NumericError(f"{rule.kind.value} threshold is {threshold}, outside the float range")
+    return threshold, direction
 
 
 def select_hits(

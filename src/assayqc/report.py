@@ -1,14 +1,16 @@
 """Metric reports, run manifests and stable machine-readable serialization.
 
-JSON emission uses insertion-ordered keys and fixed 12-significant-digit
-float formatting so reports are byte-stable across runs and comparable as
-golden files. Metrics whose preconditions fail on a given pair (e.g.
-Z'-factor with equal means) are reported as null with their acceptance
-flag false.
+JSON uses insertion-ordered keys; JSON and CSV (``csv_text`` writes every CSV
+the CLI emits) use fixed 12-significant-digit float formatting, so outputs are
+byte-stable across runs and comparable as golden files. Metrics whose
+preconditions fail on a given pair (e.g. Z'-factor with equal means) are
+reported as null with their acceptance flag false.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -29,6 +31,15 @@ ACCEPTANCE_THRESHOLDS = {"z_factor": 0.5, "ssmd": 3.0, "gssmd": 0.95}
 def text12(x: float) -> str:
     """``x`` as text to 12 significant digits, the precision of every float written."""
     return f"{x:.12g}"
+
+
+def csv_text(rows) -> str:
+    """``rows`` as CSV text: ``\\n`` line ends, floats as ``text12``, ``None`` as an empty field,
+    other values as ``str``; a field is quoted only when it holds a comma, quote or line break."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [text12(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def round12(x: float) -> float:

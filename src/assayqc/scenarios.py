@@ -14,13 +14,14 @@ import hashlib
 import json
 import operator
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import _DIST_NAMES, _MAX_BINS, SCENARIO_NAMES
 from .errors import ConfigError, UnknownScenario
-from .report import RunManifest, text12
+from .report import RunManifest, csv_text
 from .samples import SampleSet
 from .simulation import (
     DistributionSpec,
@@ -189,15 +190,9 @@ def _panel_seed(master: int, *key: int) -> int:
     return int(derive_seed(master, *key).generate_state(1, np.uint64)[0])
 
 
-def _fmt(value) -> str:
-    return text12(value) if isinstance(value, float) else str(value)
-
-
 def write_tidy_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    text = csv_text(chain([columns], ([row[c] for c in columns] for row in rows)))
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _result_rows(scenario: str, points: list[GridPoint], extra: dict | None = None) -> list[dict]:

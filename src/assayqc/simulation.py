@@ -209,30 +209,24 @@ _SEED_BLOCK = 1024
 _M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
 
 
-def _uint32_words(x: int) -> int:
-    """Length of numpy's ``_coerce_to_uint32_array(x)`` for an int ``x >= 0``."""
-    return max(1, -(-int(x).bit_length() // 32))
+def _pcg64_states(master: int, *words) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(derive_seed(master, *key))`` per key.
 
-
-def _pcg64_states(master: int, prefix: tuple[int, ...], *words) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng(derive_seed(master, *prefix, *key))`` per key.
-
-    The key words after ``prefix`` are ints or arrays of ints, each below
-    ``2**32``; they broadcast together, and the states come in C order of
-    their shape. Same bits, computed in one numpy pass. Mirrors numpy's
-    ``bit_generator.pyx``: ``SeedSequence`` hashes the prefix into its pool,
-    with the run entropy padded to the 4-word pool as a spawn key makes numpy
-    do (without a spawn key the pool comes out the same, but the hash count
-    below assumes the padding); then ``mix_entropy`` mixes in each later word
-    with ``hashmix``/``mix``, ``generate_state(4, uint64)`` gives the seed
-    words, and ``pcg64.h``'s ``pcg64_set_seed`` (``pcg_setseq_128_srandom_r``)
-    takes two 128-bit LCG steps. uint32 arithmetic runs on uint64 arrays
-    masked to 32 bits, 128-bit arithmetic on Python ints: no numpy scalar,
-    which could raise on overflow.
+    The key words are ints or arrays of ints, each below ``2**32``; they
+    broadcast together, and the states come in C order of their shape. Same
+    bits, computed in one numpy pass. Mirrors numpy's ``bit_generator.pyx``:
+    ``SeedSequence(master)`` fills and cross-mixes the pool, which comes out
+    as with the 4-word padding that a spawn key makes numpy apply to the run
+    entropy; then ``mix_entropy`` mixes in each key word with
+    ``hashmix``/``mix``, ``generate_state(4, uint64)`` gives the seed words,
+    and ``pcg64.h``'s ``pcg64_set_seed`` (``pcg_setseq_128_srandom_r``) takes
+    two 128-bit LCG steps. uint32 arithmetic runs on uint64 arrays masked to
+    32 bits, 128-bit arithmetic on Python ints: no numpy scalar, which could
+    raise on overflow.
     """
-    pool = np.random.SeedSequence(master, spawn_key=prefix).pool.tolist()
-    n_words = max(4, _uint32_words(master)) + sum(_uint32_words(p) for p in prefix)
-    # hashmix calls so far: 4 to fill the pool, 12 to cross-mix it, 4 per later word.
+    pool = np.random.SeedSequence(master).pool.tolist()
+    n_words = max(4, -(-int(master).bit_length() // 32))  # the master's uint32 words, padded
+    # hashmix calls so far: 4 to fill the pool, 12 to cross-mix it, 4 per master word past 4.
     hash_const = 0x43B0D7E5 * pow(0x931E8875, 16 + 4 * (n_words - 4), 2 ** 32) & _M32
     words = [np.atleast_1d(np.asarray(word, dtype=np.uint64)) for word in words]
     shape = np.broadcast_shapes(*(word.shape for word in words))
@@ -266,16 +260,11 @@ def _pcg64_states(master: int, prefix: tuple[int, ...], *words) -> list[tuple[in
 def _batched_seeding_agrees() -> bool:
     """Whether this numpy's ``default_rng(derive_seed(...))`` matches ``_pcg64_states``.
 
-    Checked for a hashed two-word prefix and for a sweep's key layout: two grid
-    indices, ``t`` and ``k``, all given as words.
+    Checked for a sweep's key layout: two grid indices, ``t`` and ``k``, all given as words.
     """
-    master = 2 ** 63 + 12345
-    for prefix, key in (((1, 2 ** 32 + 5), (2 ** 32 - 1, 1)), ((), (3, 0, 2 ** 32 - 1, 2))):
-        state = np.random.default_rng(derive_seed(master, *prefix, *key)).bit_generator.state
-        if _pcg64_states(master, prefix, *key) != [(state["state"]["state"],
-                                                    state["state"]["inc"])]:
-            return False
-    return True
+    master, key = 2 ** 63 + 12345, (3, 0, 2 ** 32 - 1, 2)
+    state = np.random.default_rng(derive_seed(master, *key)).bit_generator.state["state"]
+    return _pcg64_states(master, *key) == [(state["state"], state["inc"])]
 
 
 def _trial_generators(
@@ -301,7 +290,7 @@ def _trial_generators(
     for start in range(0, total, _SEED_BLOCK):
         cell, t = np.divmod(np.arange(start, min(start + _SEED_BLOCK, total), dtype=np.uint64),
                             trials)
-        states = iter(_pcg64_states(seed, (), *cells[cell].T[:, :, None], t[:, None],
+        states = iter(_pcg64_states(seed, *cells[cell].T[:, :, None], t[:, None],
                                     np.arange(streams, dtype=np.uint64)))
         for _ in range(t.size):
             for rng, (state, inc) in zip(rngs, states):

@@ -132,6 +132,34 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: unreadable CSV") and err.count("\n") == 1
 
+    def test_csv_quotes_a_plate_id_with_a_comma_and_a_quote(self, tmp_path, capsys):
+        path = tmp_path / "plate.csv"
+        write_plate_csv(path, {'"a,""b"': ([0.0, 1.0, 2.0], [8.0, 9.0, 10.0], [])})
+        assert main(["metrics", str(path), "--format", "csv"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["key", "value"] and ["plate_id", 'a,"b'] in rows
+        assert all(len(row) == 2 for row in rows)
+
+    # Line 2,500 of 3,000 lies past the first chunk of plate rows and past the first 8 KiB
+    # that the text layer decodes; a bad role before it, in either chunk, is reported first.
+    @pytest.mark.parametrize("bogus_line, message", [
+        (None, "error: unreadable CSV: 'utf-8' codec can't decode byte 0xff"),
+        (100, "error: line 100: role 'bogus' not in ['empty', 'neg', 'pos', 'sample']"),
+        (2100, "error: line 2100: role 'bogus' not in ['empty', 'neg', 'pos', 'sample']"),
+    ])
+    def test_undecodable_line_after_the_first_chunk_exits_2(self, tmp_path, capsys,
+                                                            bogus_line, message):
+        lines = [b"plate_id,row,col,role,value"]
+        for i in range(3000):
+            role = "bogus" if i + 2 == bogus_line else ("neg", "pos", "sample")[i % 3]
+            lines.append(f"P1,{i // 48 + 1},{i % 48 + 1},{role},{i % 7}.5".encode())
+        lines[2499] = b"\xff" + lines[2499]
+        path = tmp_path / "plate.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["metrics", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+
     def test_overflowing_control_values_exit_3(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
         write_plate_csv(path, {"p": ([1e308, -1e308, 0.0], [1.0, 2.0, 3.0], [])})
@@ -485,6 +513,17 @@ class TestHitsCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "plate p" in err and "R2C3" in err and "--log-transform" in err
+
+    @pytest.mark.parametrize("flags, rule", [
+        (["--rule", "sigma", "--k", "1e308"], "sigma"),
+        (["--rule", "ssmd", "--beta", "1e308", "--format", "csv"], "ssmd"),
+    ])
+    def test_overflowing_threshold_exits_3(self, tmp_path, capsys, flags, rule):
+        path = tmp_path / "plate.csv"
+        write_plate_csv(path, {"p": ([0.0, 10.0, 20.0], [100.0, 120.0], [50.0])})
+        assert main(["hits", str(path), *flags]) == 3
+        assert capsys.readouterr() == (
+            "", f"numeric error: {rule} threshold is inf, outside the float range\n")
 
     @pytest.mark.parametrize("flags", [["--alpha", "1.5"], ["--rule", "sigma", "--k", "-1"]])
     def test_out_of_range_rule_parameter_exits_2(self, tmp_path, capsys, flags):

@@ -8,6 +8,7 @@ from assayqc import (
     Direction,
     DistributionSpec,
     InsufficientControls,
+    NumericError,
     Plate,
     RuleKind,
     SampleSet,
@@ -17,6 +18,7 @@ from assayqc import (
     WellRole,
     ZeroSign,
     assay_quality,
+    compute_threshold,
     derive_seed,
     draw,
     evaluate_threshold,
@@ -145,6 +147,14 @@ class TestSigmaRule:
     def test_degenerate(self):
         with pytest.raises(DegenerateVariance):
             sigma_rule_threshold(SampleSet([5.0, 5.0]), 3.0, Direction.POSITIVE_IS_HIGHER)
+
+
+class TestComputeThreshold:
+    @pytest.mark.parametrize("rule", [ThresholdRule.sigma(1e308), ThresholdRule.ssmd(1e308)])
+    def test_a_threshold_outside_the_float_range_raises(self, rule):
+        neg, pos = SampleSet([0.0, 10.0, 20.0]), SampleSet([100.0, 120.0])
+        with pytest.raises(NumericError, match=f"^{rule.kind.value} threshold is inf, outside"):
+            compute_threshold(neg, pos, rule)
 
 
 class TestSsmdRule:

@@ -423,7 +423,7 @@ class TestBatchedSeeding:
     """calibrate_null computes trial states in batches, with the bits of derive_seed."""
 
     @given(master=st.integers(0, 2 ** 128 - 1) | st.integers(2 ** 128, 2 ** 160),
-           prefix=st.lists(st.integers(0, 3) | st.integers(0, 2 ** 96), max_size=3),
+           prefix=st.lists(st.integers(0, 3) | st.integers(0, 2 ** 32 - 1), max_size=3),
            k=st.sampled_from([0, 1, 2]),
            start=st.integers(2 ** 32 - 64, 2 ** 32 - 4) | st.integers(0, 100))
     def test_states_match_derive_seed(self, master, prefix, k, start):
@@ -432,7 +432,7 @@ class TestBatchedSeeding:
         for t in trials:
             state = np.random.default_rng(derive_seed(master, *prefix, t, k)).bit_generator.state
             expected.append((state["state"]["state"], state["state"]["inc"]))
-        assert simulation._pcg64_states(master, tuple(prefix), trials, k) == expected
+        assert simulation._pcg64_states(master, *prefix, trials, k) == expected
 
     def test_fallback_gives_the_same_table(self, monkeypatch):
         def unused(*args):
@@ -767,7 +767,7 @@ class TestGridSeedStates:
     @given(master=st.integers(0, 2 ** 160 - 1),
            key=st.lists(st.lists(st.integers(0, 5) | st.integers(2 ** 32 - 8, 2 ** 32 - 1),
                                  min_size=1, max_size=3), min_size=3, max_size=4),
-           prefix=st.sampled_from([(), (7,), (2 ** 40,)]))
+           prefix=st.sampled_from([(), (7,), (2 ** 32 - 1,)]))
     def test_states_match_derive_seed(self, master, key, prefix):
         # One column a word: they broadcast to every combination of the words.
         columns = [np.array(words, dtype=np.uint64).reshape((-1,) + (1,) * (len(key) - 1 - d))
@@ -776,4 +776,4 @@ class TestGridSeedStates:
         for words in itertools.product(*key):
             state = np.random.default_rng(derive_seed(master, *prefix, *words)).bit_generator.state
             expected.append((state["state"]["state"], state["state"]["inc"]))
-        assert simulation._pcg64_states(master, prefix, *columns) == expected
+        assert simulation._pcg64_states(master, *prefix, *columns) == expected
