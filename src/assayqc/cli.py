@@ -8,7 +8,13 @@ sample size that fits in int64 but cannot be allocated), 3 numeric error: a
 metric's precondition failed, or a floating-point overflow, invalid
 operation or division by zero occurred anywhere in the command.
 ``simulate`` and ``calibrate`` write their CSVs and a manifest through
-``scenarios.emit_run``.
+``scenarios.emit_run``. A report bound for a closed stdout exits 2 with one
+line, as a broken pipe does.
+
+``run`` is the process entry (``python -m assayqc.cli``, the ``assayqc``
+script): after ``main`` it calls ``gc.freeze()``, so shutdown skips collecting
+what numpy and the command left tracked. ``main`` does not freeze: tests call
+it in-process many times, and a freeze would keep their cycles alive for good.
 
 A start imports ``numpy``, ``errors`` and the package namespace, which holds
 what the parser needs; each subcommand imports the rest of what it uses:
@@ -22,6 +28,7 @@ what the parser needs; each subcommand imports the rest of what it uses:
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from dataclasses import asdict
@@ -160,6 +167,8 @@ def _emit(payload: dict | list, fmt: str, out: Path | None) -> None:
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text, encoding="utf-8", newline="\n")
+    elif sys.stdout is None:
+        raise OSError("stdout is closed; write the report with --out FILE")
     else:
         sys.stdout.write(text)
 
@@ -294,5 +303,13 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run(argv: list[str] | None = None) -> int:
+    """``main`` as a process: freeze what is alive at exit, so shutdown skips collecting it."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -160,6 +160,16 @@ class TestMetricsCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flags", [("metrics", []), ("hits", ["--format", "csv"])])
+    def test_closed_stdout_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, command,
+                                                 flags):
+        path = tmp_path / "plate.csv"
+        write_plate_csv(path, {"p": ([0.0, 1.0, 2.0], [10.0, 11.0, 12.0], [5.0])})
+        monkeypatch.setattr("sys.stdout", None)  # as Python leaves it when fd 1 is closed
+        assert main([command, str(path), *flags]) == 2
+        assert capsys.readouterr().err == (
+            "error: stdout is closed; write the report with --out FILE\n")
+
     def test_overflowing_control_values_exit_3(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
         write_plate_csv(path, {"p": ([1e308, -1e308, 0.0], [1.0, 2.0, 3.0], [])})

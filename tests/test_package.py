@@ -112,6 +112,13 @@ def test_pyproject_version_is_the_package_version():
     assert config["project"]["version"] == assayqc.__version__ == "0.1.0"
 
 
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"assayqc": "assayqc.cli:run"}
+
+
 PLATE = "plate_id,row,col,role,value\n" + "".join(
     f"p,{r},{c},{role},{v}\n"
     for c, role, base in ((1, "neg", 0.0), (2, "pos", 10.0), (3, "sample", 5.0))

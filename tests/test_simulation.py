@@ -374,6 +374,62 @@ class TestCalibrateNull:
             calibrate_null([10, 100, 10], 100, NORMAL, 1)
 
 
+def exact_null_mean(dist, n, pools, seed):
+    """Exact E|GSSMD| of a null pair, averaged over ``pools`` pooled samples, and its SE.
+
+    Under the null a pair is a pooled sample of 2n i.i.d. values split in half at random. The
+    shared edges depend on the pooled sample alone; given its bin counts c, the negative
+    counts a are multivariate hypergeometric, and |GSSMD| = 1 - sum_j min(a_j, c_j - a_j) / n
+    (equal means have probability 0). Each bin's expectation is a sum over a 1-D
+    hypergeometric pmf, computed once per distinct count. Binning is numpy.histogram's with
+    the ceil(1 + log2(2n)) rule, written out here rather than taken from assayqc.
+    """
+    from scipy.stats import hypergeom
+
+    x = np.random.default_rng(seed).normal(dist.location, dist.scale, (pools, 2 * n))
+    if dist.kind == "lognormal":
+        x = np.exp(x)
+    bins = int(np.ceil(1 + np.log2(2 * n)))
+    c = np.stack([np.histogram(row, bins=bins)[0] for row in x])
+    counts, where = np.unique(c, return_inverse=True)
+    a = np.arange(counts.max() + 1)[:, None]  # pmf is 0 for a > c
+    e_min = (np.minimum(a, counts - a) * hypergeom.pmf(a, 2 * n, counts, n)).sum(axis=0)
+    g = 1.0 - e_min[where.reshape(c.shape)].sum(axis=1) / n
+    return g.mean(), g.std(ddof=1) / np.sqrt(pools)
+
+
+class TestNullOracle:
+    """calibrate_null's mean |GSSMD| against the exact permutation expectation."""
+
+    # Set from the test's design, not from a run: 6 cells, each a two-sided normal test;
+    # |z| > 4 has probability 6.3e-5 per cell under a correct calibrate_null.
+    Z_BOUND = 4.0
+    TRIALS = 2000
+    POOLS = {10: 2000, 100: 1000, 1000: 200}  # oracle SE well below calibrate's
+
+    def z_scores(self, dist, seed=505):
+        table = calibrate_null(list(self.POOLS), self.TRIALS, dist, seed)
+        z = {}
+        for row in table.rows:
+            exact, se_exact = exact_null_mean(dist, row.n, self.POOLS[row.n], seed=7)
+            se = np.hypot(se_exact, np.sqrt(row.variance / self.TRIALS))
+            z[row.n] = (row.mean - exact) / se
+        return z
+
+    @pytest.mark.parametrize("dist", [NORMAL, DistributionSpec.lognormal(0, 1)],
+                             ids=["normal", "lognormal"])
+    def test_mean_matches_the_exact_null_expectation(self, dist):
+        z = self.z_scores(dist)
+        assert all(abs(v) <= self.Z_BOUND for v in z.values()), z
+
+    def test_catches_a_second_group_with_a_shifted_location(self, monkeypatch):
+        rows = simulation._gssmd_rows
+        monkeypatch.setattr(simulation, "_gssmd_rows",
+                            lambda neg, pos, bins: rows(neg, pos + 0.1, bins))
+        z = self.z_scores(NORMAL)
+        assert z[1000] > self.Z_BOUND, z
+
+
 class TestCalibrateNullChunks:
     """calibrate_null scores trials in chunks of rows; chunk edges must not show."""
 
