@@ -10,6 +10,9 @@ a public name imports its module on first access, so a CLI start loads only
 the modules its subcommand uses.
 """
 
+import json
+import operator
+import sys
 from importlib import import_module
 
 # The CLI's parser needs these at parse time, and every start loads this
@@ -20,6 +23,77 @@ DEFAULT_CALIBRATION_SIZES = (3, 10, 30, 100, 300, 1_000, 10_000, 100_000, 1_000_
 _RULE_NAMES = ("gssmd", "sigma", "ssmd", "logistic")  # hits.RuleKind values
 _DIST_NAMES = ("normal", "lognormal")  # simulation.NORMAL, LOGNORMAL
 _MAX_BINS = 2**31 - 1  # --bins: under it, every array the kernels size by bins fits numpy
+
+# Each config key's and CLI flag's rule: the JSON type of its value, or [type] for a
+# list of them, then its bounds as its error states them, "op limit", the limit a JSON
+# value or the key that holds it. A bool is never a number, a number is finite, an
+# integer is below 2**63 (no array is longer), and a list is non-empty (no empty tables)
+# and holds each value once. It serves every scenario, a replayed ``bins`` and the CLI's
+# flags; ScenarioConfig, ThresholdRule and the other models keep checks for library calls.
+_RULES = {
+    "n": (int, ">= 2"),
+    "trials": (int, ">= 1"),  # calibrate_null keeps its own floor of 100
+    "mu_diffs": ([float],),
+    "sigmas": ([float], "> 0"),
+    "shape": (float, "> 0"),
+    "fractions": ([float], ">= 0", "<= 1"),
+    "outlier_means": ([float],),
+    "outlier_scale": (float, "> 0"),
+    "snr_db": ([float],),
+    "panel_c_sizes": ([int], ">= 2"),  # a panel C sweep needs two values a group
+    "subsample_size": (int, ">= 2", "<= n"),  # a one-value subsample has no variance
+    "subsample_repeats": (int, ">= 1"),
+    "sizes": ([int], ">= 1"),
+    "dists": ([str], f"in {json.dumps(_DIST_NAMES)}"),
+    "dist": (str, f"in {json.dumps(_DIST_NAMES)}"),
+    "location": (float,),
+    "scale": (float, "> 0"),
+    "bins": (int, ">= 1", f"<= {_MAX_BINS}"),  # or null, the 1+log2(N) rule
+    "seed": ("u64", ">= 0"),  # numpy seeds with any 64-bit unsigned integer
+    "alpha": (float, "> 0", "< 1"),  # the overlap rule's allowed overlap
+    "k": (float, "> 0"),
+    "beta": (float, "> 0"),
+}
+_TYPES = {  # each JSON type: whether a value has it, its name, and a list's name
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**63,
+          "an integer under 2**63", "a list of integers under 2**63"),
+    "u64": (lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**64,
+            "an integer under 2**64"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max, "a finite number", "a list of finite numbers"),
+    str: (lambda v: isinstance(v, str), "a string", "a list of strings"),
+}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le,
+            "in": lambda value, allowed: value in allowed}
+
+
+def _check_config(cfg: dict, subject: str) -> None:
+    """Raise ``ConfigError`` for the first value of ``cfg`` that breaks its rule in ``_RULES``.
+
+    ``subject.format(key)`` names the key, as ``"config key {!r} for scenario
+    fig1"`` and ``"calibrate flag --{}"`` do.
+    """
+    from .errors import ConfigError  # here, so that a start loads no submodule for it
+
+    for key, value in cfg.items():
+        (kind, *bounds), what = _RULES[key], subject.format(key)
+        many, items = isinstance(kind, list), (value if isinstance(value, list) else [value])
+        has_type, *names = _TYPES[kind[0] if many else kind]
+        if many is not isinstance(value, list) or not all(map(has_type, items)):
+            raise ConfigError(f"{what} must be {names[many]}, got {value!r}")
+        if not items:
+            raise ConfigError(f"{what} must be a non-empty list, got []")
+        repeated = [v for i, v in enumerate(items) if v in items[:i]]
+        if repeated:  # its runs would write one file or row twice
+            raise ConfigError(f"{what} repeats {repeated[0]!r}; each grid value must appear once")
+        for bound in bounds:
+            op, name = bound.split(" ", 1)
+            limit = cfg[name] if name in cfg else json.loads(name)
+            if not all(_COMPARE[op](v, limit) for v in items):
+                held_as = f"hold {'sizes' if kind == [int] else 'values'}" if many else "be"
+                shown = f" ({limit})" if name in cfg else ""
+                raise ConfigError(f"{what} must {held_as} {bound}{shown}, got {value!r}")
+
 
 # Each submodule and the public names it exports here.
 _EXPORTS = {

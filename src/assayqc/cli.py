@@ -9,7 +9,8 @@ metric's precondition failed, or a floating-point overflow, invalid
 operation or division by zero occurred anywhere in the command.
 ``simulate`` and ``calibrate`` write their CSVs and a manifest through
 ``scenarios.emit_run``. A report bound for a closed stdout exits 2 with one
-line, as a broken pipe does.
+line, as a broken pipe does. Before any work, ``main`` checks every flag that
+has a rule in ``assayqc._RULES``, the table that judges every config key.
 
 ``run`` is the process entry (``python -m assayqc.cli``, the ``assayqc``
 script): after ``main`` it calls ``gc.freeze()``, so shutdown skips collecting
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -37,8 +39,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import (_DIST_NAMES, _MAX_BINS, _RULE_NAMES, DEFAULT_CALIBRATION_SIZES, SCENARIO_NAMES,
-               __version__)
+from . import (_DIST_NAMES, _RULE_NAMES, _RULES, DEFAULT_CALIBRATION_SIZES, SCENARIO_NAMES,
+               __version__, _check_config)
 from .errors import DataValidationError, MalformedRow, NonPositiveValue, NumericError
 
 if TYPE_CHECKING:
@@ -48,21 +50,7 @@ if TYPE_CHECKING:
 GROUP_HEADER = ["group", "value"]
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
-    return value
-
-
-def _bin_count(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= _MAX_BINS:
-        raise argparse.ArgumentTypeError(f"must be an integer in [1, {_MAX_BINS}]")
-    return value
-
-
-def number(text: str) -> int | float:  # for the calibrate rules to judge
+def number(text: str) -> int | float:  # for main to judge by the flag's rule
     try:
         return int(text)
     except ValueError:
@@ -80,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     # A subcommand gets only the flags it reads: --bins all four, --format and
     # --out the report commands, --out-dir the commands that write files.
     bins = argparse.ArgumentParser(add_help=False)
-    bins.add_argument("--bins", type=_bin_count, default=None,
+    bins.add_argument("--bins", type=number, default=None,
                       help="override the 1+log2(N) histogram bin rule")
     report = argparse.ArgumentParser(add_help=False, parents=[bins])
     report.add_argument("--format", choices=["json", "csv"], default="json",
@@ -97,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[files], help="run a named simulation scenario")
     p.add_argument("scenario", choices=SCENARIO_NAMES)
-    p.add_argument("--seed", type=_u64, required=True, help="master seed (required)")
+    p.add_argument("--seed", type=number, required=True, help="master seed (required)")
     p.add_argument("--config", type=Path, default=None,
                    help="JSON config file (or a previous manifest.json) overriding defaults")
 
@@ -106,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", type=Path, default=None,
                    help="replicate plate CSV for threshold evaluation")
     p.add_argument("--rule", choices=_RULE_NAMES, default=_RULE_NAMES[0])
-    p.add_argument("--alpha", type=float, default=0.05, help="overlap-rule allowed overlap")
-    p.add_argument("--k", type=float, default=3.0, help="sigma-rule multiplier")
-    p.add_argument("--beta", type=float, default=3.0, help="ssmd-rule effect size")
+    p.add_argument("--alpha", type=number, default=0.05, help="overlap-rule allowed overlap")
+    p.add_argument("--k", type=number, default=3.0, help="sigma-rule multiplier")
+    p.add_argument("--beta", type=number, default=3.0, help="ssmd-rule effect size")
     p.add_argument("--direction", choices=["auto", "higher", "lower"], default="auto")
     p.add_argument("--log-transform", action="store_true",
                    help="analyze log-transformed readouts")
@@ -116,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", parents=[files],
                        help="null lower-bound calibration table for GSSMD")
-    p.add_argument("--seed", type=_u64, required=True)
+    p.add_argument("--seed", type=number, required=True)
     p.add_argument("--sizes", type=number, nargs="+", default=list(DEFAULT_CALIBRATION_SIZES))
     p.add_argument("--trials", type=number, default=1000)
-    p.add_argument("--dist", choices=_DIST_NAMES, default=_DIST_NAMES[0])
+    p.add_argument("--dist", default=_DIST_NAMES[0], help=" or ".join(_DIST_NAMES))
     p.add_argument("--location", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
     # argparse reads "-..." as a flag unless its private _negative_number_matcher (known to
@@ -224,14 +212,10 @@ def _load_plate(path: Path, plate_id: str | None, log_transform: bool) -> Plate:
 def _cmd_hits(args) -> int:
     from .hits import Direction, RuleKind, ThresholdRule, evaluate_threshold, select_hits
 
-    rule_kind = RuleKind(args.rule)
-    parameter = {
-        RuleKind.GSSMD_OVERLAP: args.alpha,
-        RuleKind.SIGMA: args.k,
-        RuleKind.SSMD: args.beta,
-        RuleKind.LOGISTIC: 1.0,
-    }[rule_kind]
-    rule = ThresholdRule(rule_kind, parameter)
+    kind = RuleKind(args.rule)
+    parameter = {RuleKind.GSSMD_OVERLAP: args.alpha, RuleKind.SIGMA: args.k,
+                 RuleKind.SSMD: args.beta}.get(kind, 1.0)  # the logistic rule takes none
+    rule = ThresholdRule(kind, float(parameter))  # float: a report writes --k 3 as 3.0
 
     plate = _load_plate(args.train, args.plate_id, args.log_transform)
     forced = None if args.direction == "auto" else Direction(args.direction)
@@ -261,12 +245,11 @@ def _cmd_hits(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from .scenarios import _check_config, emit_run
+    from .scenarios import emit_run
     from .simulation import DistributionSpec, calibrate_null
 
     config = {"sizes": args.sizes, "trials": args.trials, "dist": args.dist,
               "location": args.location, "scale": args.scale}
-    _check_config(config, "calibrate flag --{}")  # fig6's rules, in the same words
     dist = DistributionSpec(args.dist, args.location, args.scale)
     table = calibrate_null(args.sizes, args.trials, dist, args.seed, bins=args.bins)
     columns = ["dist", "n", "mean", "variance", "min", "max", "p95", "p99", "p999",
@@ -287,9 +270,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+    args = build_parser().parse_args(argv)
+    try:  # before any work, each flag's value by its rule, in its config key's words
+        _check_config({k: v for k, v in vars(args).items() if k in _RULES and v is not None},
+                      f"{args.subcommand} flag --{{}}")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _COMMANDS[args.subcommand](args)
     except (DataValidationError, OSError) as exc:
@@ -305,6 +289,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def run(argv: list[str] | None = None) -> int:
     """``main`` as a process: freeze what is alive at exit, so shutdown skips collecting it."""
+    try:
+        os.write(2, b"")  # EBADF when fd 2 is closed (2>&-) or open read-only
+    except OSError:  # then drop the CLI's stderr lines, as argparse drops its own
+        sys.stderr = open(os.devnull, "w")
     try:
         return main(argv)
     finally:

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
-import sys
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import _DIST_NAMES, _MAX_BINS, SCENARIO_NAMES
+from . import _DIST_NAMES, SCENARIO_NAMES, _check_config
 from .errors import ConfigError, UnknownScenario
 from .report import RunManifest, csv_text
 from .samples import SampleSet
@@ -90,74 +88,11 @@ def default_config(name: str) -> dict:
     return json.loads(json.dumps(_DEFAULTS[name]))
 
 
-# Each key's rule: the JSON type of its value, or [type] for a list of them, then
-# its bounds as its error states them, "op limit", the limit a JSON value or the
-# key that holds it. A bool is never a number, a number is finite, an integer is
-# below 2**63 (no array is longer), and a list is non-empty (no empty tables) and
-# holds each value once. It serves every scenario, a replayed ``bins`` and the
-# calibrate flags; ScenarioConfig and the other models keep checks for library calls.
-_RULES = {
-    "n": (int, ">= 2"),
-    "trials": (int, ">= 1"),  # calibrate_null keeps its own floor of 100
-    "mu_diffs": ([float],),
-    "sigmas": ([float], "> 0"),
-    "shape": (float, "> 0"),
-    "fractions": ([float], ">= 0", "<= 1"),
-    "outlier_means": ([float],),
-    "outlier_scale": (float, "> 0"),
-    "snr_db": ([float],),
-    "panel_c_sizes": ([int], ">= 2"),  # a panel C sweep needs two values a group
-    "subsample_size": (int, ">= 2", "<= n"),  # a one-value subsample has no variance
-    "subsample_repeats": (int, ">= 1"),
-    "sizes": ([int], ">= 1"),
-    "dists": ([str], f"in {json.dumps(_DIST_NAMES)}"),
-    "dist": (str, f"in {json.dumps(_DIST_NAMES)}"),
-    "location": (float,),
-    "scale": (float, "> 0"),
-    "bins": (int, ">= 1", f"<= {_MAX_BINS}"),  # or null, the 1+log2(N) rule
-}
-_TYPES = {  # each JSON type: whether a value has it, its name, and a list's name
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**63,
-          "an integer under 2**63", "a list of integers under 2**63"),
-    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max, "a finite number", "a list of finite numbers"),
-    str: (lambda v: isinstance(v, str), "a string", "a list of strings"),
-}
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le,
-            "in": lambda value, allowed: value in allowed}
-
-
-def _check_config(cfg: dict, subject: str) -> None:
-    """Raise ``ConfigError`` for the first value of ``cfg`` that breaks its rule in ``_RULES``.
-
-    ``subject.format(key)`` names the key, as ``"config key {!r} for scenario
-    fig1"`` and ``"calibrate flag --{}"`` do.
-    """
-    for key, value in cfg.items():
-        (kind, *bounds), what = _RULES[key], subject.format(key)
-        many, items = isinstance(kind, list), (value if isinstance(value, list) else [value])
-        has_type, *names = _TYPES[kind[0] if many else kind]
-        if many is not isinstance(value, list) or not all(map(has_type, items)):
-            raise ConfigError(f"{what} must be {names[many]}, got {value!r}")
-        if not items:
-            raise ConfigError(f"{what} must be a non-empty list, got []")
-        repeated = [v for i, v in enumerate(items) if v in items[:i]]
-        if repeated:  # its runs would write one file or row twice
-            raise ConfigError(f"{what} repeats {repeated[0]!r}; each grid value must appear once")
-        for bound in bounds:
-            op, name = bound.split(" ", 1)
-            limit = cfg[name] if name in cfg else json.loads(name)
-            if not all(_COMPARE[op](v, limit) for v in items):
-                held_as = f"hold {'sizes' if kind == [int] else 'values'}" if many else "be"
-                shown = f" ({limit})" if name in cfg else ""
-                raise ConfigError(f"{what} must {held_as} {bound}{shown}, got {value!r}")
-
-
 def resolve_config(name: str, overrides: dict | None = None) -> dict:
     """Merge a user config over the scenario defaults; check it, before any trial runs.
 
     Raises ``ConfigError`` for an unknown key, then names the first key, in
-    the defaults' order, whose value breaks its rule in ``_RULES``.
+    the defaults' order, whose value breaks its rule in ``assayqc._RULES``.
     """
     cfg, overrides = default_config(name), dict(overrides or {})
     scenario = overrides.pop("scenario", name)
@@ -376,7 +311,7 @@ def emit_run(
     """Write each ``filename: (columns, rows)`` table as a CSV, then manifest.json.
 
     The manifest records the sha256 of every CSV and ``config``, whose values
-    its callers have checked against ``_RULES``: every number is finite, so
+    its callers have checked against ``assayqc._RULES``: every number is finite, so
     the manifest can hold it. Returns the written paths (manifest last).
     """
     out = Path(out_dir)

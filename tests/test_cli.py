@@ -1,11 +1,12 @@
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from assayqc.cli import main
+from assayqc.cli import build_parser, main, number
 
 PLATE_HEADER = "plate_id,row,col,role,value\n"
 
@@ -535,6 +536,18 @@ class TestHitsCommand:
         assert capsys.readouterr() == (
             "", f"numeric error: {rule} threshold is inf, outside the float range\n")
 
+    @pytest.mark.parametrize("flags, fmt, line", [
+        (["--rule", "sigma", "--k", "3"], "json", '"parameter": 3.0'),
+        (["--rule", "ssmd", "--beta", "2"], "json", '"parameter": 2.0'),
+        (["--rule", "sigma", "--k", "3"], "csv", "rule.parameter,3"),  # floats to 12 digits
+        (["--rule", "ssmd", "--beta", "2"], "csv", "rule.parameter,2"),
+    ])
+    def test_an_integer_rule_parameter_is_reported_as_a_float(self, tmp_path, capsys, flags,
+                                                              fmt, line):
+        train, _, _ = self.make_two_plates(tmp_path)
+        assert main(["hits", str(train), *flags, "--format", fmt]) == 0
+        assert f"{line}\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flags", [["--alpha", "1.5"], ["--rule", "sigma", "--k", "-1"]])
     def test_out_of_range_rule_parameter_exits_2(self, tmp_path, capsys, flags):
         train, _, _ = self.make_two_plates(tmp_path)
@@ -745,7 +758,8 @@ _CAP = 2**31 - 1  # the largest --bins
 @pytest.mark.parametrize("command", ["simulate", "calibrate", "metrics", "hits"])
 def test_bins_over_the_cap_exit_2_before_any_work(tmp_path, capsys, command, bins):
     """A bin count past the cap would size arrays numpy cannot make (exit 1 with a
-    traceback), or try to allocate gigabytes; the parser refuses it."""
+    traceback), or try to allocate gigabytes; ``main`` refuses it in one line, as it
+    does a replayed ``bins``."""
     write_group_csv(tmp_path / "groups.csv", [0.0, 1.0, 2.0], [5.0, 6.0, 7.0])
     write_plate_csv(tmp_path / "plate.csv", {"P1": ([0.0, 1.0, 2.0], [5.0, 6.0, 7.0], [3.0])})
     out = tmp_path / "out"
@@ -756,12 +770,9 @@ def test_bins_over_the_cap_exit_2_before_any_work(tmp_path, capsys, command, bin
         "metrics": ["metrics", str(tmp_path / "groups.csv"), "--out", str(out)],
         "hits": ["hits", str(tmp_path / "plate.csv"), "--out", str(out)],
     }[command]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--bins", str(bins)])
-    assert exc.value.code == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and "Traceback" not in err
-    assert err.endswith(f"error: argument --bins: must be an integer in [1, {_CAP}]\n"), err
+    assert main(argv + ["--bins", str(bins)]) == 2
+    assert capsys.readouterr() == ("", f"error: {command} flag --bins must be <= {_CAP}, "
+                                       f"got {bins}\n")
     assert not out.exists()
 
 
@@ -801,6 +812,39 @@ def test_a_value_that_is_no_number_is_a_usage_error(capsys):
         main(["calibrate", "--seed", "1", "--trials", "abc"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("argument --trials: invalid number value: 'abc'\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["hits", "plate.csv", "--k", "inf"], "hits flag --k must be a finite number, got inf"),
+    (["hits", "plate.csv", "--alpha", "nan"], "hits flag --alpha must be a finite number, got nan"),
+    (["hits", "plate.csv", "--alpha", "1"], "hits flag --alpha must be < 1, got 1"),
+    (["hits", "plate.csv", "--rule", "ssmd", "--beta", "0"], "hits flag --beta must be > 0, got 0"),
+    (["simulate", "fig1", "--seed", "-1"], "simulate flag --seed must be >= 0, got -1"),
+    (["calibrate", "--seed", str(2**64)],
+     f"calibrate flag --seed must be an integer under 2**64, got {2**64}"),
+    (["calibrate", "--seed", "1", "--dist", "gamma"],
+     'calibrate flag --dist must be in ["normal", "lognormal"], got \'gamma\''),
+    (["metrics", "plate.csv", "--bins", "2.0"],
+     "metrics flag --bins must be an integer under 2**63, got 2.0"),
+])
+def test_a_flag_is_judged_by_its_rule_before_any_work(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)  # plate.csv does not exist: the flag is judged first
+    assert main([*argv, "--out-dir" if argv[0] in ("simulate", "calibrate") else "--out", "o"]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_flag_has_one_validator():
+    """argparse only turns a flag's text into a value; ``main`` judges the value by its
+    rule. --location and --scale stay float, so that a manifest keeps ``1.0``."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "subcommand").choices
+    for name, sub in subcommands.items():
+        for action in sub._actions:
+            assert action.type in (number, float, Path, None), (name, action.dest)
+            if action.type is float:
+                assert action.dest in ("location", "scale"), (name, action.dest)
+    assert subcommands["calibrate"]._option_string_actions["--dist"].choices is None
 
 
 # Subnormal groups: a span of a few units of 5e-324 over 5 bins rounds the last edges out

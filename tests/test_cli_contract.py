@@ -6,7 +6,9 @@ list of sample sizes that are not all integers; the config file written as
 UTF-8, UTF-8 with a byte-order mark or latin-1), ``main`` returns 0, 2 or 3,
 writes one stderr line on failure and none on success, emits no warning
 and never raises. So it does for an extreme value of the right type for any
-config key or ``calibrate`` flag, and an exit 2 names the key or flag.
+config key or flag with a rule (the ``calibrate`` flags, ``--seed``, and the
+``hits`` flags ``--alpha``, ``--k``, ``--beta`` and ``--bins``), and an exit 2
+names the key or flag.
 """
 
 import contextlib
@@ -20,8 +22,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assayqc import _RULES
 from assayqc.cli import main
-from assayqc.scenarios import _RULES, SCENARIO_NAMES, default_config
+from assayqc.scenarios import SCENARIO_NAMES, default_config
 
 PLATE_HEADER = "plate_id,row,col,role,value"
 GROUP_HEADER = "group,value"
@@ -164,12 +167,20 @@ _TINY = {
     "fig6": {"sizes": [3], "trials": 100, "dists": ["normal"], "location": 0.0, "scale": 1.0},
     "calibrate": {"sizes": [3], "trials": 100, "location": 0.0, "scale": 1.0},
 }
+# The keys each command takes an extreme for: its config keys or flags, --seed, and --bins
+# (calibrate's is covered by the other commands).
+_KEYS = {command: [*keys, "seed"] if command == "calibrate" else [*keys, "bins", "seed"]
+         for command, keys in _TINY.items()}
+_KEYS["hits"] = ["alpha", "beta", "bins", "k"]
+_PLATE = "\n".join([PLATE_HEADER, "p,1,1,neg,0", "p,2,1,neg,1", "p,3,1,neg,2", "p,1,2,pos,5",
+                    "p,2,2,pos,6", "p,3,2,pos,7", "p,1,3,sample,3"]) + "\n"
 
 
 def rule_extremes(command, key) -> list:
     """In-type extremes of the key's rule: each bound and its neighbours, 0, 2**63 and,
-    for a number, +-1e308, +-inf and NaN; an allowed string and another. Counts stay at
-    50 or less, or at 2**63 or more (rejected before any trial)."""
+    for a number, +-1e308, +-inf and NaN; for a seed, 2**64 - 1 and 2**64; an allowed
+    string and another. Counts stay at 50 or less, or at 2**63 or more (rejected before
+    any trial)."""
     kind, *bounds = _RULES[key]
     many = isinstance(kind, list)
     kind = kind[0] if many else kind
@@ -177,34 +188,43 @@ def rule_extremes(command, key) -> list:
     if kind is str:
         values = [*json.loads(names[0]), "foo"]
     else:
-        limits = [_TINY[command][name] if name in _TINY[command] else int(name) for name in names]
+        tiny = _TINY.get(command, {})
+        limits = [tiny[name] if name in tiny else int(name) for name in names]
         values = [0, 2**63, *(limit + d for limit in limits for d in (-1, 0, 1))]
         if kind is float:
             values += [1e308, -1e308, math.inf, -math.inf, math.nan]
         else:
             values = [v for v in values if v <= 50 or v >= 2**63]
+        if kind == "u64":
+            values += [2**64 - 1, 2**64]
     return [[v] if many else v for v in dict.fromkeys(values)]
 
 
-@settings(max_examples=150)
+@settings(max_examples=200)
 @given(st.data())
 def test_extreme_config_value_of_the_right_type_exits_0_2_or_3(data):
-    command = data.draw(st.sampled_from(sorted(_TINY)))
-    key = data.draw(st.sampled_from(sorted(_TINY[command])
-                                    + ([] if command == "calibrate" else ["bins"])))
+    command = data.draw(st.sampled_from(sorted(_KEYS)))
+    key = data.draw(st.sampled_from(sorted(_KEYS[command])))
     value = data.draw(st.sampled_from(rule_extremes(command, key)))
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
-        config = {**_TINY[command], key: value}
-        if command == "calibrate":
-            argv = ["calibrate", *(f"--{k}={(v[0] if isinstance(v, list) else v)!r}"
-                                   for k, v in config.items())]  # lists hold one size here
-            named = f"error: calibrate flag --{key} "
+        config = {**_TINY.get(command, {}), key: value}
+        seed = config.pop("seed", 1)
+        flags = [f"--{k}={(v[0] if isinstance(v, list) else v)!r}"  # lists hold one size here
+                 for k, v in config.items()]
+        if command == "hits":  # under the rule that reads the flag
+            (Path(tmp) / "plate.csv").write_text(_PLATE, encoding="utf-8")
+            rule = {"alpha": "gssmd", "k": "sigma", "beta": "ssmd"}.get(key, "gssmd")
+            argv = ["hits", str(Path(tmp) / "plate.csv"), "--rule", rule, *flags]
+        elif command == "calibrate":
+            argv = ["calibrate", *flags, f"--seed={seed!r}"]
         else:
             cfg.write_text(json.dumps(config), encoding="utf-8")
-            argv = ["simulate", command, "--config", str(cfg)]
-            named = f"error: config key '{key}' "
-        code, err = run_cli([*argv, "--seed", "1", "--out-dir", str(out)])
+            argv = ["simulate", command, "--config", str(cfg), f"--seed={seed!r}"]
+        subcommand = argv[0]
+        named = (f"error: {subcommand} flag --{key} " if subcommand != "simulate" or key == "seed"
+                 else f"error: config key '{key}' ")
+        code, err = run_cli([*argv, "--out-dir" if subcommand != "hits" else "--out", str(out)])
         assert code in (0, 2, 3), (command, key, value, err)
         assert code == 0 or len(err) == 1, err
         if code == 2:  # calibrate_null keeps its floor of 100 trials, and its message

@@ -60,10 +60,12 @@ def child_env():
     return env
 
 
-def run_process(argv, cwd, closed_stdout=False):
+def run_process(argv, cwd, closed_stdout=False, stderr_redirect=None):
     command = [sys.executable, "-m", "assayqc.cli", *argv]
     if closed_stdout:  # the shell's `>&-`: the process starts with no file descriptor 1
         command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    if stderr_redirect:  # such as `2>&-`, no file descriptor 2
+        command = ["sh", "-c", f'exec "$@" {stderr_redirect}', "sh", *command]
     stdout = None if closed_stdout else subprocess.PIPE
     return subprocess.run(command, cwd=cwd, env=child_env(), stdout=stdout,
                           stderr=subprocess.PIPE, timeout=120)
@@ -129,3 +131,18 @@ def test_a_closed_stdout_still_writes_the_report_to_out(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert (tmp_path / "report.json").read_bytes() == run_process(
         ["metrics", "train.csv"], tmp_path).stdout
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
+@pytest.mark.parametrize("name, code", [
+    ("simulate_fig1", 0), ("missing_input", 2), ("bad_flag", 2), ("numeric_error", 3),
+])
+def test_a_stderr_that_takes_no_writes_keeps_the_exit_code(tmp_path, redirect, name, code):
+    """With fd 2 closed, or open only for reading, the CLI's stderr lines are dropped, as
+    argparse drops its own; the exit code, stdout and written files stay as they are."""
+    write_inputs(tmp_path)
+    argv = {**COMMANDS, "missing_input": ["metrics", "missing.csv"]}[name]
+    proc = run_process(argv, tmp_path, stderr_redirect=redirect)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", b"")
+    if name == "simulate_fig1":
+        assert sorted(written(tmp_path)) == ["out/fig1_sigma1.csv", "out/manifest.json"]

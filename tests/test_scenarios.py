@@ -2,17 +2,21 @@ import json
 
 import pytest
 
-from assayqc import UnknownScenario, run_scenario
+from assayqc import _RULES, UnknownScenario, _check_config, run_scenario
 from assayqc.errors import ConfigError
-from assayqc.cli import build_parser
+from assayqc.cli import build_parser, number
 from assayqc.scenarios import (
-    _RULES,
     SCENARIO_NAMES,
-    _check_config,
     default_config,
     load_config_file,
     resolve_config,
 )
+
+
+def subcommand_parsers() -> dict:
+    """Each subcommand's parser, from the parser ``main`` builds."""
+    parser = build_parser()
+    return next(a for a in parser._actions if a.dest == "subcommand").choices
 
 
 def calibrate_defaults() -> dict:
@@ -98,9 +102,16 @@ class TestConfigResolution:
 
 
 class TestConfigRules:
-    def test_every_key_and_calibrate_flag_has_one_rule(self):
+    def test_every_key_and_checked_flag_has_one_rule(self):
+        """``main`` checks each subcommand option whose dest has a rule: the rules are
+        the config keys and those flags, and every option parsed by ``number`` is one."""
         keys = {key for name in SCENARIO_NAMES for key in default_config(name)}
-        assert keys | set(calibrate_defaults()) == set(_RULES)
+        options = [a for p in subcommand_parsers().values() for a in p._actions]
+        checked = {a.dest for a in options if a.dest in _RULES}
+        assert checked == {"bins", "seed", "alpha", "k", "beta", "sizes", "trials", "dist",
+                           "location", "scale"}
+        assert keys | checked == set(_RULES)
+        assert {a.dest for a in options if a.type is number} <= checked
         assert "bins" in calibrate_defaults()  # and a replayed manifest's bins
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
