@@ -10,7 +10,6 @@ a public name imports its module on first access, so a CLI start loads only
 the modules its subcommand uses.
 """
 
-import json
 import operator
 import sys
 from importlib import import_module
@@ -23,13 +22,15 @@ DEFAULT_CALIBRATION_SIZES = (3, 10, 30, 100, 300, 1_000, 10_000, 100_000, 1_000_
 _RULE_NAMES = ("gssmd", "sigma", "ssmd", "logistic")  # hits.RuleKind values
 _DIST_NAMES = ("normal", "lognormal")  # simulation.NORMAL, LOGNORMAL
 _MAX_BINS = 2**31 - 1  # --bins: under it, every array the kernels size by bins fits numpy
+_DIST_LIMIT = "[" + ", ".join(f'"{name}"' for name in _DIST_NAMES) + "]"  # a JSON list
 
 # Each config key's and CLI flag's rule: the JSON type of its value, or [type] for a
 # list of them, then its bounds as its error states them, "op limit", the limit a JSON
 # value or the key that holds it. A bool is never a number, a number is finite, an
-# integer is below 2**63 (no array is longer), and a list is non-empty (no empty tables)
-# and holds each value once. It serves every scenario, a replayed ``bins`` and the CLI's
-# flags; ScenarioConfig, ThresholdRule and the other models keep checks for library calls.
+# integer is below 2**63 (no array is longer; each integer rule's lower bound judges a
+# negative one), and a list is non-empty (no empty tables) and holds each value once. It
+# serves every scenario, a replayed ``bins`` and the CLI's flags; ScenarioConfig,
+# ThresholdRule and the other models keep checks for library calls.
 _RULES = {
     "n": (int, ">= 2"),
     "trials": (int, ">= 1"),  # calibrate_null keeps its own floor of 100
@@ -44,8 +45,8 @@ _RULES = {
     "subsample_size": (int, ">= 2", "<= n"),  # a one-value subsample has no variance
     "subsample_repeats": (int, ">= 1"),
     "sizes": ([int], ">= 1"),
-    "dists": ([str], f"in {json.dumps(_DIST_NAMES)}"),
-    "dist": (str, f"in {json.dumps(_DIST_NAMES)}"),
+    "dists": ([str], f"in {_DIST_LIMIT}"),
+    "dist": (str, f"in {_DIST_LIMIT}"),
     "location": (float,),
     "scale": (float, "> 0"),
     "bins": (int, ">= 1", f"<= {_MAX_BINS}"),  # or null, the 1+log2(N) rule
@@ -55,9 +56,9 @@ _RULES = {
     "beta": (float, "> 0"),
 }
 _TYPES = {  # each JSON type: whether a value has it, its name, and a list's name
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**63,
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool) and v < 2**63,
           "an integer under 2**63", "a list of integers under 2**63"),
-    "u64": (lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**64,
+    "u64": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v < 2**64,
             "an integer under 2**64"),
     float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max, "a finite number", "a list of finite numbers"),
@@ -73,7 +74,9 @@ def _check_config(cfg: dict, subject: str) -> None:
     ``subject.format(key)`` names the key, as ``"config key {!r} for scenario
     fig1"`` and ``"calibrate flag --{}"`` do.
     """
-    from .errors import ConfigError  # here, so that a start loads no submodule for it
+    import json  # both here, so that a start that only parses loads neither
+
+    from .errors import ConfigError
 
     for key, value in cfg.items():
         (kind, *bounds), what = _RULES[key], subject.format(key)

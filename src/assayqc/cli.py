@@ -33,7 +33,6 @@ import gc
 import os
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -245,6 +244,8 @@ def _cmd_hits(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from dataclasses import asdict
+
     from .scenarios import emit_run
     from .simulation import DistributionSpec, calibrate_null
 

@@ -71,11 +71,16 @@ class SummaryStats:
 
         A 1-D array is a one-row block: rows sum like 1-D arrays, so row ``t`` has the bits
         of ``of(values[t])``. A lone value is its own mean, with variance 0 (degenerate).
+        The variance takes numpy's ``var(ddof=1)`` steps from the row means already taken.
         """
         rows = values[None] if values.ndim == 1 else values
         lone = rows.shape[1] == 1
-        mean = rows[:, 0] if lone else rows.mean(axis=1)  # a lone -0.0 keeps its sign
-        variance = np.zeros(len(rows)) if lone else rows.var(axis=1, ddof=1)
+        if lone:
+            mean, variance = rows[:, 0], np.zeros(len(rows))  # a lone -0.0 keeps its sign
+        else:
+            mean = rows.mean(axis=1)
+            deviations = rows - mean[:, None]
+            variance = np.square(deviations, out=deviations).sum(axis=1) / (rows.shape[1] - 1)
         if values.ndim == 1:
             mean, variance = float(mean[0]), float(variance[0])
         return cls(mean, variance, rows.shape[1], lone)

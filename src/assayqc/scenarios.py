@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import _DIST_NAMES, SCENARIO_NAMES, _check_config
-from .errors import ConfigError, UnknownScenario
-from .report import RunManifest, csv_text
+from .errors import ConfigError, NumericError, UnknownScenario
+from .report import RunManifest, csv_text, text12
 from .samples import SampleSet
 from .simulation import (
     DistributionSpec,
@@ -130,22 +131,38 @@ def write_tidy_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
+def _formatted(fields: dict) -> dict:
+    """``fields`` with each float as ``csv_text`` writes it (``text12``), to be reused."""
+    return {key: text12(v) if isinstance(v, float) else v for key, v in fields.items()}
+
+
 def _result_rows(scenario: str, points: list[GridPoint], extra: dict | None = None) -> list[dict]:
+    """Four aggregate rows a metric of each point, which share the point's fields
+    (scenario, ``extra`` and its params), formatted once."""
     rows = []
     for point in points:
+        shared = _formatted({"scenario": scenario, **(extra or {}), **point.params})
         for metric, agg in point.metrics.items():
             for agg_name in ("mean", "std", "min", "max"):
-                row = {"scenario": scenario}
-                row.update(extra or {})
-                row.update(point.params)
-                row.update(metric=metric, aggregate=agg_name, value=getattr(agg, agg_name))
-                rows.append(row)
+                rows.append({**shared, "metric": metric, "aggregate": agg_name,
+                             "value": getattr(agg, agg_name)})
     return rows
+
+
+@contextmanager
+def _cell_named(scenario: str, extra: dict | None = None):
+    """A failing sweep's message, which ``_run_grid`` starts with its cell's grid values,
+    gains the scenario and ``extra`` in front: ``fig1 sigma 1, mu_diff 1e+308: ...``."""
+    try:
+        yield
+    except (NumericError, ArithmeticError) as exc:
+        named = "".join(f"{key} {v}, " for key, v in _formatted(extra or {}).items())
+        exc.args = (f"{scenario} {named}{exc}",)
+        raise
 
 
 def _scaled_rows(
     scenario: str, result: ScenarioResult, curve_key: str, axis_key: str,
-    extra: dict | None = None,
 ) -> list[dict]:
     """Per-curve min-max scaling of the mean aggregate onto [0, 1]."""
     curves: dict[tuple, list] = {}
@@ -160,11 +177,8 @@ def _scaled_rows(
         span = values.max() - values.min()
         scaled = (values - values.min()) / span if span > 0 else np.zeros_like(values)
         for (axis_val, _), sv in zip(pts, scaled):
-            row = {"scenario": scenario}
-            row.update(extra or {})
-            row.update({curve_key: curve_val, axis_key: axis_val})
-            row.update(metric=metric, aggregate="scaled_mean", value=float(sv))
-            rows.append(row)
+            rows.append({"scenario": scenario, curve_key: curve_val, axis_key: axis_val,
+                         "metric": metric, "aggregate": "scaled_mean", "value": float(sv)})
     return rows
 
 
@@ -174,7 +188,8 @@ def _mean_difference_panel(
     """One mean-difference sweep from ``neg`` as a table, its scale column named ``param``."""
     sweep = ScenarioConfig(neg=neg, mu_diffs=tuple(cfg["mu_diffs"]), n=cfg["n"],
                            seed=seed, trials=cfg["trials"], bins=bins)
-    rows = _result_rows(name, run_mean_difference_sweep(sweep).points, {param: neg.scale})
+    with _cell_named(name, {param: neg.scale}):
+        rows = _result_rows(name, run_mean_difference_sweep(sweep).points, {param: neg.scale})
     return ["scenario", param, "mu_diff", "metric", "aggregate", "value"], rows
 
 
@@ -204,7 +219,8 @@ def _run_fig3(cfg: dict, seed: int, bins: int | None):
         outlier_scale=float(cfg["outlier_scale"]),
         bins=bins,
     )
-    result = run_outlier_sweep(sweep)
+    with _cell_named("fig3"):
+        result = run_outlier_sweep(sweep)
     rows = _result_rows("fig3", result.points)
     return {
         "fig3_outliers.csv": (
@@ -228,7 +244,8 @@ def _noise_config(cfg: dict, n: int, seed: int, bins: int | None) -> ScenarioCon
 
 def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     base_cols = ["scenario", "mu_diff", "snr_db", "metric", "aggregate", "value"]
-    result = run_noise_sweep(_noise_config(cfg, cfg["n"], _panel_seed(seed, 0), bins))
+    with _cell_named(name):
+        result = run_noise_sweep(_noise_config(cfg, cfg["n"], _panel_seed(seed, 0), bins))
     files = {
         f"{name}_panelA.csv": (base_cols, _result_rows(name, result.points)),
         f"{name}_panelB.csv": (
@@ -238,7 +255,8 @@ def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     }
     rows_c = []
     for k, size in enumerate(cfg["panel_c_sizes"]):
-        res_k = run_noise_sweep(_noise_config(cfg, int(size), _panel_seed(seed, 1, k), bins))
+        with _cell_named(name, {"n": int(size)}):
+            res_k = run_noise_sweep(_noise_config(cfg, int(size), _panel_seed(seed, 1, k), bins))
         rows_c.extend(_result_rows(name, res_k.points, {"n": int(size)}))
     files[f"{name}_panelC.csv"] = (
         ["scenario", "n", "mu_diff", "snr_db", "metric", "aggregate", "value"],
@@ -265,8 +283,9 @@ def _subsample_panel(cfg: dict, seed: int, bins: int | None) -> list[GridPoint]:
 
 def _run_fig5(cfg: dict, seed: int, bins: int | None):
     files = _run_noise_figure("fig5", cfg, seed, bins)
-    points = _subsample_panel(cfg, _panel_seed(seed, 2), bins)
     extra = {"subsample_size": cfg["subsample_size"], "repeats": cfg["subsample_repeats"]}
+    with _cell_named("fig5", extra):
+        points = _subsample_panel(cfg, _panel_seed(seed, 2), bins)
     files["fig5_panelD.csv"] = (
         ["scenario", "mu_diff", "snr_db", "subsample_size", "repeats",
          "metric", "aggregate", "value"],

@@ -21,6 +21,7 @@ from . import _DIST_NAMES, metrics
 from .errors import (ConfigError, EdgesOutOfOrder, InvalidSubsampleSize, NumericError,
                      ZeroPowerSignal)
 from .overlap import _gssmd_rows
+from .report import text12
 from .samples import SampleSet, SummaryStats, _finite
 
 NORMAL, LOGNORMAL = _DIST_NAMES
@@ -139,11 +140,6 @@ class TrialAggregate:
     min: float
     max: float
 
-    @classmethod
-    def of(cls, values: Sequence[float]) -> "TrialAggregate":
-        a = np.asarray(values, dtype=np.float64)
-        return cls(float(a.mean()), float(a.std()), float(a.min()), float(a.max()))
-
 
 @dataclass
 class GridPoint:
@@ -154,8 +150,15 @@ class GridPoint:
 
     @classmethod
     def of(cls, params: dict[str, float], columns: dict[str, np.ndarray]) -> "GridPoint":
-        """Aggregate each metric's column of trial values, keeping metric order."""
-        return cls(params, {name: TrialAggregate.of(values) for name, values in columns.items()})
+        """Aggregate each metric's column of trial values, keeping metric order.
+
+        The columns stack into one C-ordered (metrics, trials) block, reduced once an
+        aggregate: rows sum like 1-D arrays, so each has the bits of its column's own.
+        """
+        block = np.array(list(columns.values()), dtype=np.float64)
+        aggregates = zip(*(a.tolist() for a in (block.mean(axis=1), block.std(axis=1),
+                                                 block.min(axis=1), block.max(axis=1))))
+        return cls(params, {name: TrialAggregate(*a) for name, a in zip(columns, aggregates)})
 
 
 @dataclass
@@ -388,12 +391,20 @@ def _run_grid(
     The key layout of every sweep: ``trial(*axis_values, rngs)`` draws stream
     ``k`` from ``derive_seed(seed, *axis_indices, t, k)`` and returns its row,
     which ``score`` turns into metrics (see ``_grid_scores``). A point's params
-    are its float axis values.
+    are its float axis values. A failing cell's error keeps its class, and its message
+    gains the cell's values in front, as ``mu_diff 1e+308: ...``.
     """
     grid = itertools.product(*(enumerate(values) for values in axes.values()))
     cells = [tuple(zip(*cell)) for cell in grid]  # (axis indices, axis values)
-    return [GridPoint.of(dict(zip(axes, map(float, values))), columns)
-            for values, columns in _grid_scores(seed, cells, trials, streams, trial, score)]
+    points = []
+    try:
+        for values, columns in _grid_scores(seed, cells, trials, streams, trial, score):
+            points.append(GridPoint.of(dict(zip(axes, map(float, values))), columns))
+    except (NumericError, ArithmeticError) as exc:  # from the first cell not yet yielded
+        failing = zip(axes, map(float, cells[len(points)][1]))
+        exc.args = (", ".join(f"{axis} {text12(v)}" for axis, v in failing) + f": {exc}",)
+        raise
+    return points
 
 
 def run_mean_difference_sweep(cfg: ScenarioConfig) -> ScenarioResult:

@@ -423,8 +423,28 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps(config))
         assert main(["simulate", scenario, "--seed", "1", "--out-dir", str(tmp_path / "out"),
                      "--config", str(cfg)]) == 3
-        assert capsys.readouterr().err == (f"numeric error: snr_db {snr!r} is out of range: "
-                                           "10^(snr_db/10) is not a positive finite float\n")
+        assert capsys.readouterr().err == (
+            f"numeric error: {scenario} mu_diff 0, snr_db {snr:.0f}: snr_db {snr!r} is out of "
+            "range: 10^(snr_db/10) is not a positive finite float\n")
+
+    @pytest.mark.parametrize("scenario, config, line", [
+        ("fig1", {"mu_diffs": [1e308], "sigmas": [1], "trials": 2},
+         "fig1 sigma 1, mu_diff 1e+308: overflow encountered in reduce"),
+        ("fig1", {"sigmas": [1e-320], "trials": 2},
+         "fig1 sigma 9.99988867183e-321, mu_diff 0: SSMD needs at least one positive group "
+         "variance"),
+        # the fourth cell of a two-axis grid fails, after three that pass
+        ("fig3", {"fractions": [0, 0.5], "outlier_means": [1, 1e300], "trials": 1, "n": 20},
+         "fig3 fraction 0.5, outlier_mean 1e+300: overflow encountered in square"),
+    ], ids=["fig1-overflow", "fig1-subnormal-sigma", "fig3-last-cell"])
+    def test_exit_3_names_the_failing_cell(self, tmp_path, capsys, scenario, config, line):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", scenario, "--seed", "1", "--out-dir", str(out),
+                     "--config", str(cfg)]) == 3
+        assert capsys.readouterr() == ("", f"numeric error: {line}\n")
+        assert not out.exists()
 
     def test_manifest_hashes_match_outputs(self, tmp_path):
         import hashlib
@@ -822,6 +842,7 @@ def test_a_value_that_is_no_number_is_a_usage_error(capsys):
     (["simulate", "fig1", "--seed", "-1"], "simulate flag --seed must be >= 0, got -1"),
     (["calibrate", "--seed", str(2**64)],
      f"calibrate flag --seed must be an integer under 2**64, got {2**64}"),
+    (["calibrate", f"--seed={-2**64}"], f"calibrate flag --seed must be >= 0, got {-2**64}"),
     (["calibrate", "--seed", "1", "--dist", "gamma"],
      'calibrate flag --dist must be in ["normal", "lognormal"], got \'gamma\''),
     (["metrics", "plate.csv", "--bins", "2.0"],

@@ -171,3 +171,18 @@ def test_a_start_loads_only_its_subcommands_modules(tmp_path, argv, loads, skips
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     assert loads <= loaded and not loaded & skips, sorted(loaded)
+
+
+def test_a_start_that_only_parses_loads_neither_json_nor_dataclasses():
+    """Every subcommand loads both later; a parser-only or usage-error start need not."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "from assayqc.cli import build_parser\n"
+             "build_parser()\n"
+             "print(sorted({'json', 'dataclasses'} & set(sys.modules) - before))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout

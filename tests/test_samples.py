@@ -118,6 +118,17 @@ class TestRowSummaries:
         assert same_bits([stats.mean, stats.variance], [mean, variance])
         assert (stats.count, stats.degenerate) == (values.size, lone)
 
+    @settings(max_examples=300)
+    @given(st.integers(1, 5), st.integers(2, 300), st.integers(0, 2**32 - 1),
+           st.integers(-100, 100), st.integers(0, 100))
+    def test_variance_is_numpys_var_bit_for_bit(self, rows, n, seed, exponent, spread):
+        """The variance from the row means is ``var(ddof=1)`` of each row, at magnitudes
+        spread over up to 10**+-100 within a block."""
+        rng = np.random.default_rng(seed)
+        low = max(-100, exponent - spread)
+        block = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(low, exponent, (rows, n))
+        assert same_bits(SummaryStats.of(block).variance, block.var(axis=1, ddof=1))
+
     def test_a_lone_negative_zero_keeps_its_sign(self):
         for stats in (SummaryStats.of(np.array([-0.0])), summarize(SampleSet([-0.0]))):
             assert math.copysign(1.0, stats.mean) == -1.0 and stats.degenerate

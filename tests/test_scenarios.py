@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from assayqc import _RULES, UnknownScenario, _check_config, run_scenario
@@ -10,6 +11,7 @@ from assayqc.scenarios import (
     default_config,
     load_config_file,
     resolve_config,
+    write_tidy_csv,
 )
 
 
@@ -137,6 +139,7 @@ class TestConfigRules:
 
     @pytest.mark.parametrize("key, value, fault", [
         ("n", 2**63, f"must be an integer under 2**63, got {2**63}"),
+        ("n", -2**63, f"must be >= 2, got {-2**63}"),  # under 2**63, so judged by its bound
         ("trials", 0, "must be >= 1, got 0"),
         ("subsample_size", 1, "must be >= 2, got 1"),
         ("subsample_size", 101, "must be <= n (100), got 101"),
@@ -163,3 +166,27 @@ class TestRunScenarioDeterminism:
                 run_scenario(name, 77, out, cfg)
             for path in sorted(out1.iterdir()):
                 assert path.read_bytes() == (out2 / path.name).read_bytes()
+
+
+def test_write_tidy_csv_formats_rows_of_raw_values(tmp_path):
+    """Rows that a caller builds itself, with raw floats, ints and None (the benchmark's
+    layer timing writes such rows): floats as ``text12``, ints as they are, None empty."""
+    columns = ["scenario", "dist", "n", "metric", "aggregate", "value"]
+    rows = [
+        {"scenario": "fig6", "dist": "normal", "n": 10, "metric": "abs_gssmd",
+         "aggregate": "p999", "value": 0.1 + 0.2},
+        {"value": np.float64(-0.0), "aggregate": "mean", "metric": "gssmd", "n": 2**63 - 1,
+         "dist": "lognormal", "scenario": "fig6"},  # keys in another order
+        {"scenario": "fig6", "dist": None, "n": np.int64(3), "metric": "x,y",
+         "aggregate": "min", "value": 1 / 3},
+        {"scenario": "fig6", "dist": "normal", "n": 30, "metric": "abs_gssmd",
+         "aggregate": "max", "value": None, "unused": 1.5},
+    ]
+    path = tmp_path / "t.csv"
+    write_tidy_csv(path, columns, rows)
+    assert path.read_bytes() == (
+        b"scenario,dist,n,metric,aggregate,value\n"
+        b"fig6,normal,10,abs_gssmd,p999,0.3\n"
+        b"fig6,lognormal,9223372036854775807,gssmd,mean,-0\n"
+        b'fig6,,3,"x,y",min,0.333333333333\n'
+        b"fig6,normal,30,abs_gssmd,max,\n")

@@ -531,6 +531,21 @@ class TestRowMoments:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.view(np.int64), np.array(w).view(np.int64))
 
+    @given(trials=st.sampled_from([1, 2, 3, 7, 8, 9, 20, 128, 129]), metrics=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1), spread=st.integers(0, 150), strided=st.booleans())
+    def test_grid_point_aggregates_equal_each_columns_own(self, trials, metrics, seed, spread,
+                                                          strided):
+        """GridPoint.of's block reductions against mean/std/min/max of each column, for
+        columns of their own and for panel D's strided columns of a (trials, metrics) block."""
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(trials, metrics)) * 10.0 ** rng.uniform(-spread, spread,
+                                                                          (trials, metrics))
+        block[rng.random(block.shape) < 0.1] = -0.0
+        names = [f"m{i}" for i in range(metrics)]
+        columns = dict(zip(names, block.T if strided else block.T.copy()))
+        want = GridPoint({"x": 1.0}, {name: _moments(col) for name, col in columns.items()})
+        assert same_points(GridPoint.of({"x": 1.0}, columns), want)
+
 
 def same_points(a, b):
     """Equal bit for bit, NaN and the sign of zero included."""
