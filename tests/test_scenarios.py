@@ -139,12 +139,12 @@ class TestConfigRules:
 
     @pytest.mark.parametrize("key, value, fault", [
         ("n", 2**63, f"must be an integer under 2**63, got {2**63}"),
-        ("n", -2**63, f"must be >= 2, got {-2**63}"),  # under 2**63, so judged by its bound
         ("trials", 0, "must be >= 1, got 0"),
         ("subsample_size", 1, "must be >= 2, got 1"),
         ("subsample_size", 101, "must be <= n (100), got 101"),
         ("snr_db", [0, float("inf")], "must be a list of finite numbers, got [0, inf]"),
         ("mu_diffs", [10**400], f"must be a list of finite numbers, got [{10**400}]"),
+        ("n", -2**63, f"must be >= 2, got {-2**63}"),  # under 2**63, so judged by its bound
     ])
     def test_a_fault_names_the_key_and_its_rule(self, key, value, fault):
         with pytest.raises(ConfigError) as exc:
