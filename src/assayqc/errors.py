@@ -40,6 +40,10 @@ class EdgesOutOfOrder(NumericError, ValueError):
     """Equal-width bins over a few subnormal units round their last edges out of order."""
 
 
+class NonFiniteRange(NumericError, ValueError):
+    """Two groups' pooled range holds a NaN or an infinity, or its width overflows."""
+
+
 # --- simulation errors ------------------------------------------------------
 
 class ZeroPowerSignal(NumericError):

@@ -14,9 +14,9 @@ count governs resolution.
 
 Bin assignment is left-closed/right-open with a right-closed final bin;
 ties at interior edges go to the higher bin (``numpy.histogram`` semantics,
-stated here so other implementations can match bit-exactly). Both kernels
-count a group by its values below each inner edge: numpy's own rule for any
-non-decreasing edges.
+stated here so other implementations can match bit-exactly). One function,
+``_histogram_counts``, bins a pair or a block of row pairs; it counts a group
+by its values below each edge, numpy's own rule for non-decreasing edges.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgesOutOfOrder
+from .errors import EdgesOutOfOrder, NonFiniteRange
 from .samples import SampleSet
 
 
@@ -88,42 +88,64 @@ def bin_count(n: int) -> int:
     return max(1, math.ceil(1.0 + math.log2(n)))
 
 
-def _bin_counts(below: np.ndarray, size: int) -> np.ndarray:
-    """Per-bin counts of ``size`` values, from how many lie below each inner edge (last axis)."""
-    counts = np.empty((*below.shape[:-1], below.shape[-1] + 1), np.intp)
-    counts[..., :-1], counts[..., -1] = below, size
-    counts[..., 1:] -= below
-    return counts
-
-
 def _histogram_counts(neg: np.ndarray, pos: np.ndarray, bins: int | None):
-    """Shared-edge counts for two raw arrays; handles the all-equal range.
+    """Shared ``(edges, counts_neg, counts_pos)`` of two groups, or of each row pair of a
+    (T, m) and a (T, n) block: then a row of edges and of counts each.
 
-    Groups of up to 2**16 values are sorted once, for the pooled range and ``searchsorted``;
-    longer groups (``numpy.histogram`` sorts 2**16 values at a time, not a whole copy) and a
-    non-finite pair go through ``numpy.histogram``. Edges whose last ones round out of order
-    (a span of a few subnormal units) raise ``EdgesOutOfOrder``, where numpy's error would.
+    A row's edges are scalar ``np.linspace``'s, by its arithmetic: ``i * (span / k) + lo``,
+    or ``i / k * span + lo`` where that step is 0, and ``hi`` last (an array ``linspace``
+    rescales every row once one step is 0). An all-equal pair gets one unit-width bin; an
+    all-equal row counts every value in its last bin, for the same OVL of 1. Groups of up
+    to 2**16 values are sorted, then counted by comparison (T > 1, k <= 9) or ``searchsorted``;
+    longer ones by ``numpy.histogram``. A range of no finite width raises ``NonFiniteRange``;
+    edges whose last ones round out of order raise ``EdgesOutOfOrder``, as numpy would.
     """
-    small = max(neg.size, pos.size) <= 1 << 16
-    groups = (np.sort(neg), np.sort(pos)) if small else (neg, pos)
-    finite = small and all(math.isfinite(g[i]) for g in groups for i in (0, -1))
-    ends = [(g[0], g[-1]) if finite else (g.min(), g.max()) for g in groups]
-    lo, hi = min(ends[0][0], ends[1][0]), max(ends[0][1], ends[1][1])
-    if lo == hi:
-        # All pooled samples identical: one unit-width bin, complete overlap.
-        edges = np.array([lo - 0.5, lo + 0.5])
-        return edges, np.array([neg.size]), np.array([pos.size])
-    if bins is None:
-        bins = bin_count(neg.size + pos.size)
-    elif bins < 1:
+    if bins is not None and bins < 1:
         raise ValueError("bins must be >= 1")
-    edges = np.linspace(lo, hi, bins + 1)
-    if edges[-2] > hi:  # False for a non-finite pair, which keeps numpy's errors
-        raise EdgesOutOfOrder(f"{bins} equal-width bins over the pooled range [{float(lo)!r}, "
-                              f"{float(hi)!r}] round their last edges out of order")
-    if not finite:
-        return edges, *(np.histogram(g, bins=edges)[0] for g in (neg, pos))
-    return edges, *(_bin_counts(g.searchsorted(edges[1:-1]), g.size) for g in groups)
+    groups = (neg[None], pos[None]) if neg.ndim == 1 else (neg, pos)
+    sizes = groups[0].shape[1], groups[1].shape[1]
+    k = bin_count(sum(sizes)) if bins is None else bins
+    small = max(sizes) <= 1 << 16
+    if small:
+        groups = np.sort(groups[0], axis=1), np.sort(groups[1], axis=1)
+    lo = np.minimum(*(g[:, 0] if small else g.min(axis=1) for g in groups))
+    hi = np.maximum(*(g[:, -1] if small else g.max(axis=1) for g in groups))
+    span = hi - lo
+    r = np.isfinite(span).argmin()  # the first row of no finite width, if any
+    if not math.isfinite(span[r]):
+        raise NonFiniteRange(f"the pooled range [{float(lo[r])!r}, {float(hi[r])!r}] "
+                             "has no finite width")
+    if neg.ndim == 1 and span[0] == 0:
+        # All pooled samples identical: one unit-width bin, complete overlap.
+        return np.array([lo[0] - 0.5, lo[0] + 0.5]), np.array([neg.size]), np.array([pos.size])
+    step = span / k
+    i = np.arange(k + 1.0)
+    edges = i * step[:, None]
+    if np.count_nonzero(step) < len(step):  # numpy's own branch for a step that underflows to 0
+        zero = step == 0
+        edges[zero] = i / k * span[zero, None]
+    edges += lo[:, None]
+    r = (edges[:, -2] > hi).argmax()  # the first row whose last edges round out of order, if any
+    if edges[r, -2] > hi[r]:
+        raise EdgesOutOfOrder(f"{k} equal-width bins over the pooled range [{float(lo[r])!r}, "
+                              f"{float(hi[r])!r}] round their last edges out of order")
+    edges[:, -1] = hi
+    if small:  # bin j holds the values below edge j + 1 less those below edge j
+        below = np.zeros((2, len(edges), k + 1), np.intp)  # none lies below the first edge
+        below[0, :, -1], below[1, :, -1] = sizes  # and all below the last: that bin is closed
+        inner = edges[:, 1:-1]
+        for j, g in enumerate(groups):
+            if k <= 9 and len(g) > 1:  # a (T, k - 1, m) boolean block is within the rows' bytes
+                np.sum(g[:, None] < inner[:, :, None], axis=2, out=below[j, :, 1:-1])
+            else:
+                for r in range(len(g)):
+                    below[j, r, 1:-1] = g[r].searchsorted(inner[r])
+        counts = below[..., 1:] - below[..., :-1]
+    else:  # numpy.histogram sorts 2**16 values at a time, not a whole copy
+        counts = np.array([[np.histogram(row, e)[0] for row, e in zip(g, edges)] for g in groups])
+    if neg.ndim == 1:
+        return edges[0], counts[0, 0], counts[1, 0]
+    return edges, counts[0], counts[1]
 
 
 def build_histogram_pair(
@@ -150,9 +172,9 @@ def _ovl_from_counts(c_neg: np.ndarray, c_pos: np.ndarray, n_neg: int, n_pos: in
     # Cross-multiplied integer minimum: exact 0.0 / 1.0 at the extremes
     # (identical multisets sum to exactly n_neg * n_pos) and a single
     # rounding at the final division.
-    num = np.minimum(c_neg.astype(np.int64) * n_pos,
-                     c_pos.astype(np.int64) * n_neg).sum(axis=-1)
-    return num / (np.int64(n_neg) * np.int64(n_pos))
+    num = np.minimum(np.multiply(c_neg, n_pos, dtype=np.int64),
+                     np.multiply(c_pos, n_neg, dtype=np.int64)).sum(axis=-1)
+    return num / (n_neg * n_pos)
 
 
 def ovl(pair: HistogramPair) -> float:
@@ -163,7 +185,7 @@ def ovl(pair: HistogramPair) -> float:
 def _gssmd_from_arrays(
     neg: np.ndarray, pos: np.ndarray, bins: int | None = None
 ) -> OverlapResult:
-    """Array-level core shared with the simulation runners."""
+    """Array-level core of ``gssmd``, which ``_gssmd_rows`` matches row by row."""
     _, c_neg, c_pos = _histogram_counts(neg, pos, bins)
     return _result_from_counts(c_neg, c_pos, neg, pos)
 
@@ -201,45 +223,19 @@ def _gssmd_rows(
 
     Row ``t`` equals ``_gssmd_from_arrays(neg[t], pos[t], bins).gssmd`` bit
     for bit; given ``ovl``, an array of T values, row ``t`` of it receives
-    that result's ``.ovl``. A lone row (T = 1) goes pair by pair. Rows get
-    ``linspace`` edges between the ends of their sorted rows, and up to 9
-    bins are counted by comparing values with the inner edges (a (T, k-1, m)
-    boolean block is within the rows' float bytes), more by ``searchsorted``,
-    a slice of rows whose counts fit those bytes at a time. Non-finite rows,
-    rows with a subnormal step span/k (an array ``linspace`` with a zero step
-    rescales every row) and rows whose edges alone outgrow the bytes go
-    through the per-pair kernel.
+    that result's ``.ovl``. ``_histogram_counts`` bins a slice of rows at a
+    time: all at up to 9 bins, which it counts by comparison, else as many as
+    keep about 8 (rows, k + 1) arrays within the rows' bytes, and at least one.
     """
     rows, m = neg.shape
     n = pos.shape[1]
-    ovl_rows = np.empty(rows) if ovl is None else ovl
-    if rows == 1:  # a chunk of one trial, or a row scored again: faster, and raises as a pair
-        pair = _gssmd_from_arrays(neg[0], pos[0], bins)
-        ovl_rows[0] = pair.ovl
-        return np.array([pair.gssmd])
     k = bin_count(m + n) if bins is None else bins
-    if k < 1:
-        raise ValueError("bins must be >= 1")
-    groups = np.sort(neg, axis=1), np.sort(pos, axis=1)
-    lo = np.minimum(groups[0][:, 0], groups[1][:, 0])
-    hi = np.maximum(groups[0][:, -1], groups[1][:, -1])
-    span = hi - lo
-    compare = k <= 9
-    step = rows if compare else rows * (m + n) // (8 * (k + 1))  # about 8 (rows, k) arrays
-    binned = np.isfinite(span) & (span / k >= np.finfo(np.float64).tiny) & (step > 0)
-    ovl_rows[:] = 1.0  # all pooled values equal: complete overlap
-    todo = np.flatnonzero(binned)
-    for s in range(0, todo.size, max(step, 1)):
-        r = todo[s:s + step]
-        inner = np.linspace(lo[r], hi[r], k + 1, axis=1)[:, 1:-1]
-        below = [(g[r, None] < inner[:, :, None]).sum(axis=2) if compare
-                 else np.array([g[i].searchsorted(e) for i, e in zip(r, inner)]) for g in groups]
-        ovl_rows[r] = _ovl_from_counts(_bin_counts(below[0], m), _bin_counts(below[1], n), m, n)
-    # Row means of C-ordered rows sum like the 1-D means of the per-pair path;
-    # +0.0 turns a sign of -0.0 into +0.0, as int(np.sign(...)) does.
-    sign = np.sign(pos.mean(axis=1) - neg.mean(axis=1)) + 0.0
-    signed = sign * (1.0 - ovl_rows)
-    for r in np.flatnonzero(~binned & (span != 0)):
-        pair = _gssmd_from_arrays(neg[r], pos[r], bins)
-        signed[r], ovl_rows[r] = pair.gssmd, pair.ovl
-    return signed
+    step = max(rows if k <= 9 else rows * (m + n) // (8 * (k + 1)), 1)
+    ovl_rows = np.empty(rows) if ovl is None else ovl
+    for s in range(0, rows, step):
+        _, c_neg, c_pos = _histogram_counts(neg[s:s + step], pos[s:s + step], k)
+        ovl_rows[s:s + step] = _ovl_from_counts(c_neg, c_pos, m, n)
+    # Row sums of C-ordered rows add like the 1-D sums of the per-pair path's means, which
+    # divide them by the count; +0.0 turns a sign of -0.0 into +0.0, as int(np.sign(...)) does.
+    sign = np.sign(np.add.reduce(pos, axis=1) / n - np.add.reduce(neg, axis=1) / m) + 0.0
+    return sign * (1.0 - ovl_rows)

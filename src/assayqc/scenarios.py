@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _DIST_NAMES, SCENARIO_NAMES, _check_config
-from .errors import ConfigError, NumericError, UnknownScenario
+from .errors import ConfigError, NonFiniteValue, NumericError, UnknownScenario
 from .report import RunManifest, csv_text, text12
 from .samples import SampleSet
 from .simulation import (
@@ -155,7 +155,7 @@ def _cell_named(scenario: str, extra: dict | None = None):
     gains the scenario and ``extra`` in front: ``fig1 sigma 1, mu_diff 1e+308: ...``."""
     try:
         yield
-    except (NumericError, ArithmeticError) as exc:
+    except (NumericError, ArithmeticError, NonFiniteValue) as exc:
         named = "".join(f"{key} {v}, " for key, v in _formatted(extra or {}).items())
         exc.args = (f"{scenario} {named}{exc}",)
         raise

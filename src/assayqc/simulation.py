@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import _DIST_NAMES, metrics
-from .errors import (ConfigError, EdgesOutOfOrder, InvalidSubsampleSize, NumericError,
+from .errors import (ConfigError, InvalidSubsampleSize, NonFiniteValue, NumericError,
                      ZeroPowerSignal)
 from .overlap import _gssmd_rows
 from .report import text12
@@ -400,7 +400,7 @@ def _run_grid(
     try:
         for values, columns in _grid_scores(seed, cells, trials, streams, trial, score):
             points.append(GridPoint.of(dict(zip(axes, map(float, values))), columns))
-    except (NumericError, ArithmeticError) as exc:  # from the first cell not yet yielded
+    except (NumericError, ArithmeticError, NonFiniteValue) as exc:  # first cell not yielded
         failing = zip(axes, map(float, cells[len(points)][1]))
         exc.args = (", ".join(f"{axis} {text12(v)}" for axis, v in failing) + f": {exc}",)
         raise
@@ -573,7 +573,7 @@ def calibrate_null(
     for i, n in enumerate(sizes):
         try:
             [(_, columns)] = _grid_scores(seed, [((i,), (n,))], trials, 2, trial, score)
-        except (FloatingPointError, EdgesOutOfOrder) as exc:  # CLI errstate; subnormal draws
+        except (FloatingPointError, NumericError) as exc:  # CLI errstate; tiny or infinite draws
             raise NumericError(f"location {dist.location!r} and scale {dist.scale!r}: null "
                                f"draws at n = {n} leave the float range ({exc})") from None
         signed = columns["gssmd"]

@@ -385,6 +385,7 @@ class TestSimulateCommand:
                      "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and err.count("\n") == 1
+        assert err.startswith("error: fig3 fraction 0.5, outlier_mean 1e+308: ")  # its cell
 
     @pytest.mark.parametrize("config, message", [
         ({"subsample_size": 1000},
@@ -924,5 +925,7 @@ def test_panel_d_names_its_normal_draw_when_its_noise_leaves_the_float_range(tmp
     out = tmp_path / "out"
     assert main(["simulate", "fig5", "--seed", "1", "--out-dir", str(out),
                  "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == "error: sample set 'normal' contains non-finite values\n"
+    assert capsys.readouterr().err == ("error: fig5 subsample_size 2, repeats 10, mu_diff 0, "
+                                       "snr_db -3080: sample set 'normal' contains non-finite "
+                                       "values\n")
     assert not out.exists()

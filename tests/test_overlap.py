@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from assayqc import (
     gssmd,
     ovl,
 )
-from assayqc.errors import EdgesOutOfOrder, NumericError
+from assayqc import overlap
+from assayqc.errors import EdgesOutOfOrder, NonFiniteRange, NumericError
 from assayqc.overlap import _gssmd_from_arrays, _gssmd_rows, _histogram_counts
 
 # Overlap of two unit-variance normals d apart is 2*Phi(-d/2); at d=1 that
@@ -87,6 +90,14 @@ class TestBuildHistogramPair:
             assert np.allclose(widths, widths[0], rtol=1e-12)
             assert abs(pair.mass_neg.sum() - 1) < 1e-9
             assert abs(pair.mass_pos.sum() - 1) < 1e-9
+
+    # All-equal pooled values take one bin whatever ``bins`` asks, but a bin count below 1
+    # is rejected before that rule, as it is for any other data.
+    @pytest.mark.parametrize("run, neg, pos", [(build_histogram_pair, [1.0, 1.0], [1.0]),
+                                               (gssmd, [1.0, 2.0], [1.0])])
+    def test_zero_bins_raise_whatever_the_data(self, run, neg, pos):
+        with pytest.raises(ValueError, match="^bins must be >= 1$"):
+            run(SampleSet(neg), SampleSet(pos), bins=0)
 
     def test_max_sample_lands_in_last_bin(self):
         # Right-closed final bin: the pooled maximum is counted, and an
@@ -444,6 +455,98 @@ class TestCountingRule:
         rng = np.random.default_rng(bins)
         neg, pos = rng.normal(size=(20, 12)), rng.normal(0.5, 1, (20, 12))
         assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
+
+
+class TestNonFiniteRange:
+    """A pooled range of no finite width raises one error, a pair or a row at a time."""
+
+    @pytest.mark.parametrize("value, shown", [(np.inf, "[0.5, inf]"), (-np.inf, "[-inf, 2.0]"),
+                                              (np.nan, "[0.5, nan]")])
+    def test_a_non_finite_value(self, value, shown):
+        neg, pos = np.array([1.0, value]), np.array([0.5, 2.0])
+        want = (NonFiniteRange, f"the pooled range {shown} has no finite width")
+        assert outcome(_histogram_counts, neg, pos, None) == want
+        assert outcome(_gssmd_rows, neg[None], pos[None], None) == want
+
+    def test_a_finite_range_whose_width_overflows(self):
+        neg, pos = np.array([-1e308, 0.0]), np.array([1e308])
+        want = (NonFiniteRange, "the pooled range [-1e+308, 1e+308] has no finite width")
+        with np.errstate(over="ignore"):
+            assert outcome(_histogram_counts, neg, pos, 5) == want
+            assert outcome(_gssmd_rows, neg[None], np.array([[1e308, 1e308]]), 5) == want
+        # A NumericError (exit 3 in the CLI), and still a ValueError.
+        assert issubclass(NonFiniteRange, NumericError)
+
+
+SPECIAL_ROWS = ["inf", "-inf", "nan", "all equal", "2 subnormal units", "3 subnormal units",
+                "overflowing span"]
+
+
+def special_row(kind, rng, size):
+    """A neg and a pos row of ``size`` values each that binning treats specially."""
+    neg, pos = rng.normal(size=size), rng.normal(size=size)
+    if kind in ("inf", "-inf", "nan"):
+        (pos if kind == "-inf" else neg)[size // 2] = float(kind)
+    elif kind == "all equal":
+        neg[:], pos[:] = 2.5, 2.5
+    elif kind.endswith("subnormal units"):
+        # Over 5 or more bins, 2 units make a step span/k of 0 (numpy linspace's own branch);
+        # over 5 bins, 3 units round the last edges out of order.
+        units = int(kind[0])
+        neg, pos = 5e-324 * rng.integers(0, units + 1, (2, size))
+        neg[0], pos[0] = 0.0, units * 5e-324
+    else:
+        neg[0], pos[0] = -1e308, 1e308
+    return neg, pos
+
+
+class TestSpecialRowInABlock:
+    """One special row among normal rows scores, or raises, as the pair alone does."""
+
+    @pytest.mark.parametrize("bins", [None, 5, 20])  # at 20 bins a slice holds 2 rows of 8
+    @pytest.mark.parametrize("rows, at", [(1, 0), (2, 0), (2, 1), (8, 0), (8, 4), (8, 7)])
+    @pytest.mark.parametrize("kind", SPECIAL_ROWS)
+    def test_scores_or_raises_as_the_pair_does(self, kind, rows, at, bins):
+        rng = np.random.default_rng(10 * rows + at)
+        neg, pos = rng.normal(size=(rows, 30)), rng.normal(0.5, 1, (rows, 30))
+        neg[at], pos[at] = special_row(kind, rng, 30)
+        ovl = np.full(rows, np.nan)
+        with np.errstate(over="ignore"):
+            got = outcome(_gssmd_rows, neg, pos, bins, ovl)
+            want = outcome(per_pair_rows, neg, pos, bins)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert_same_bits(got, want)
+        assert_same_bits(ovl, np.array([_gssmd_from_arrays(a, b, bins).ovl
+                                        for a, b in zip(neg, pos)]))
+
+
+def test_every_overlap_reaches_the_counting_function_the_benchmark_traces():
+    # The benchmark counts calls of overlap._histogram_counts through its __code__, as here;
+    # a rename or a wrapper would fail every traced run.
+    kernel = overlap._histogram_counts
+    assert isinstance(kernel, types.FunctionType)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is kernel.__code__:
+            calls.append(frame)
+
+    neg, pos = np.random.default_rng(6).normal(size=(2, 8, 40))
+    pair = SampleSet(neg[0]), SampleSet(pos[0])
+    runs = {"gssmd": lambda: gssmd(*pair),
+            "build_histogram_pair": lambda: build_histogram_pair(*pair),
+            "T = 1": lambda: _gssmd_rows(neg[:1], pos[:1]),
+            "T = 8": lambda: _gssmd_rows(neg, pos)}
+    for name, run in runs.items():
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1, name
 
 
 class TestRowKernelMemory:

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from unittest import mock
 
@@ -35,6 +36,7 @@ from assayqc import (
     z_factor,
 )
 from assayqc import scenarios, simulation
+from assayqc.errors import NonFiniteRange, NumericError
 from assayqc.overlap import _gssmd_from_arrays
 
 NORMAL = DistributionSpec.normal(0, 1)
@@ -372,6 +374,13 @@ class TestCalibrateNull:
         # A repeated size would write a second, differently seeded row for it.
         with pytest.raises(ConfigError, match=r"^calibration sizes \[10, 100, 10\] repeat a size"):
             calibrate_null([10, 100, 10], 100, NORMAL, 1)
+
+    def test_infinite_draws_name_location_and_scale(self):
+        # Under numpy's default errstate exp(800) is inf without raising, so binning meets it.
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+            calibrate_null([10], 100, DistributionSpec.lognormal(800.0, 1.0), 1)
+        assert str(info.value) == ("location 800.0 and scale 1.0: null draws at n = 10 leave the "
+                                   "float range (the pooled range [inf, inf] has no finite width)")
 
 
 def exact_null_mean(dist, n, pools, seed):
@@ -817,6 +826,16 @@ class TestSweepsWithoutRaisingErrstate:
                "subsample_size": min(size, n), "subsample_repeats": repeats}
         assert (quiet_outcome(scenarios._subsample_panel, cfg, seed, bins)
                 == quiet_outcome(recomputed_subsample_points, cfg, seed, bins))
+
+    def test_infinite_draws_raise_instead_of_scoring(self):
+        # A lognormal scale of 300 overflows some draws to inf; binning raises on the first
+        # such row, where it used to score GSSMD beyond [-1, 1].
+        cfg = ScenarioConfig(neg=DistributionSpec.lognormal(0, 300), mu_diffs=(0.0, 5.0), n=50,
+                             trials=3, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteRange) as info:
+            run_mean_difference_sweep(cfg)
+        assert re.fullmatch(r"mu_diff 0: the pooled range \[\S+, inf\] has no finite width",
+                            str(info.value))
 
     def test_trials_build_no_sample_set(self, monkeypatch):
         outliers = ScenarioConfig(neg=NORMAL, n=40, seed=5, trials=3, bins=4,
