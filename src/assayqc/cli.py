@@ -13,9 +13,12 @@ line, as a broken pipe does. Before any work, ``main`` checks every flag that
 has a rule in ``assayqc._RULES``, the table that judges every config key.
 
 ``run`` is the process entry (``python -m assayqc.cli``, the ``assayqc``
-script): after ``main`` it calls ``gc.freeze()``, so shutdown skips collecting
-what numpy and the command left tracked. ``main`` does not freeze: tests call
-it in-process many times, and a freeze would keep their cycles alive for good.
+script). The process runs without the cyclic collector, since a command leaves
+little garbage in cycles: run as ``__main__``, this module disables it before it
+imports numpy, and ``run`` disables it for the script. Shutdown still collects,
+so after ``main`` ``run`` calls ``gc.freeze()``: shutdown then skips what numpy
+and the command left tracked. ``main`` does neither: tests call it in-process
+many times, and a freeze would keep their cycles alive for good.
 
 A start imports ``numpy``, ``errors`` and the package namespace, which holds
 what the parser needs; each subcommand imports the rest of what it uses:
@@ -28,8 +31,12 @@ what the parser needs; each subcommand imports the rest of what it uses:
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":  # a CLI process: no cyclic collection (see the docstring)
+    gc.disable()
+
+import argparse
 import os
 import re
 import sys
@@ -289,7 +296,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """``main`` as a process: freeze what is alive at exit, so shutdown skips collecting it."""
+    """``main`` as a process: with the cyclic collector disabled, and what is alive at exit
+    frozen, so that shutdown skips collecting it. Neither is undone."""
+    gc.disable()
     try:
         os.write(2, b"")  # EBADF when fd 2 is closed (2>&-) or open read-only
     except OSError:  # then drop the CLI's stderr lines, as argparse drops its own

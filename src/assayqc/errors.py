@@ -44,6 +44,10 @@ class NonFiniteRange(NumericError, ValueError):
     """Two groups' pooled range holds a NaN or an infinity, or its width overflows."""
 
 
+class UndefinedMeanDifference(NumericError, ValueError):
+    """Two groups' means overflow, so the difference that signs GSSMD is NaN."""
+
+
 # --- simulation errors ------------------------------------------------------
 
 class ZeroPowerSignal(NumericError):

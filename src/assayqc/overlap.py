@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgesOutOfOrder, NonFiniteRange
+from .errors import EdgesOutOfOrder, NonFiniteRange, UndefinedMeanDifference
 from .samples import SampleSet
 
 
@@ -195,7 +195,7 @@ def _result_from_counts(
 ) -> OverlapResult:
     """``OverlapResult`` of two raw arrays from their shared-edge bin counts."""
     overlap = float(_ovl_from_counts(c_neg, c_pos, neg.size, pos.size))
-    sign = int(np.sign(pos.mean() - neg.mean()))
+    sign = int(_mean_signs(neg[None], pos[None])[0])
     gcnr = 1.0 - overlap
     return OverlapResult(
         ovl=overlap,
@@ -204,6 +204,23 @@ def _result_from_counts(
         bins_used=int(c_neg.size),
         sign=sign,
     )
+
+
+def _mean_signs(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """sgn(mean(pos) - mean(neg)) of each row pair of a (T, m) and a (T, n) block, as floats.
+
+    Row sums of C-ordered rows add like the 1-D sums of ``mean``, which divides them by the
+    count; +0.0 turns a sign of -0.0 into +0.0, as ``int`` does. Means that overflow leave a
+    NaN difference, with no sign: ``UndefinedMeanDifference`` names the first such row's.
+    """
+    means = np.add.reduce(neg, axis=1) / neg.shape[1], np.add.reduce(pos, axis=1) / pos.shape[1]
+    sign = np.sign(means[1] - means[0]) + 0.0
+    r = np.isnan(sign).argmax()  # the first row with no sign, if any
+    if math.isnan(sign[r]):
+        raise UndefinedMeanDifference(f"the group means {float(means[0][r])!r} (neg) and "
+                                      f"{float(means[1][r])!r} (pos) overflow: their "
+                                      "difference has no sign")
+    return sign
 
 
 def gssmd(neg: SampleSet, pos: SampleSet, bins: int | None = None) -> OverlapResult:
@@ -235,7 +252,4 @@ def _gssmd_rows(
     for s in range(0, rows, step):
         _, c_neg, c_pos = _histogram_counts(neg[s:s + step], pos[s:s + step], k)
         ovl_rows[s:s + step] = _ovl_from_counts(c_neg, c_pos, m, n)
-    # Row sums of C-ordered rows add like the 1-D sums of the per-pair path's means, which
-    # divide them by the count; +0.0 turns a sign of -0.0 into +0.0, as int(np.sign(...)) does.
-    sign = np.sign(np.add.reduce(pos, axis=1) / n - np.add.reduce(neg, axis=1) / m) + 0.0
-    return sign * (1.0 - ovl_rows)
+    return _mean_signs(neg, pos) * (1.0 - ovl_rows)

@@ -42,6 +42,14 @@ class SampleSet:
         return int(self.values.size)
 
 
+def _row_variances(rows: np.ndarray, means: np.ndarray, ddof: int) -> np.ndarray:
+    """``rows.var(axis=1, ddof=ddof)`` of a C-ordered 2-D block, by numpy's own steps, from
+    the row ``means`` already taken (``rows.mean(axis=1)``): subtract, square in place, row
+    sums, divide."""
+    deviations = rows - means[:, None]
+    return np.square(deviations, out=deviations).sum(axis=1) / (rows.shape[1] - ddof)
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     """Mean, unbiased variance and derived standard deviation of one group, or of each row.
@@ -71,7 +79,7 @@ class SummaryStats:
 
         A 1-D array is a one-row block: rows sum like 1-D arrays, so row ``t`` has the bits
         of ``of(values[t])``. A lone value is its own mean, with variance 0 (degenerate).
-        The variance takes numpy's ``var(ddof=1)`` steps from the row means already taken.
+        The variance takes numpy's ``var(ddof=1)`` steps (``_row_variances``) from the means.
         """
         rows = values[None] if values.ndim == 1 else values
         lone = rows.shape[1] == 1
@@ -79,8 +87,7 @@ class SummaryStats:
             mean, variance = rows[:, 0], np.zeros(len(rows))  # a lone -0.0 keeps its sign
         else:
             mean = rows.mean(axis=1)
-            deviations = rows - mean[:, None]
-            variance = np.square(deviations, out=deviations).sum(axis=1) / (rows.shape[1] - 1)
+            variance = _row_variances(rows, mean, 1)
         if values.ndim == 1:
             mean, variance = float(mean[0]), float(variance[0])
         return cls(mean, variance, rows.shape[1], lone)

@@ -22,7 +22,7 @@ from .errors import (ConfigError, InvalidSubsampleSize, NonFiniteValue, NumericE
                      ZeroPowerSignal)
 from .overlap import _gssmd_rows
 from .report import text12
-from .samples import SampleSet, SummaryStats, _finite
+from .samples import SampleSet, SummaryStats, _finite, _row_variances
 
 NORMAL, LOGNORMAL = _DIST_NAMES
 
@@ -66,9 +66,19 @@ def derive_seed(master_seed: int, *key: int) -> np.random.SeedSequence:
 
 
 def _sample(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.normal(dist.location, dist.scale, n)
+    """``rng.normal(location, scale, n)``, and its ``exp`` (in place) for a lognormal.
+
+    Location 0 and scale 1 draw ``rng.standard_normal(n)``, the ``z`` of ``location + scale * z``:
+    the same bits, but for a ``z`` of -0.0 (52 zero bits), which location 0.0 makes 0.0. Other
+    specs keep ``normal``: it overflows to inf in C, which the checks downstream name with its
+    cell, where a shift in numpy would raise under the CLI's errstate first.
+    """
+    if dist.location == 0 and dist.scale == 1:
+        x = rng.standard_normal(n)
+    else:
+        x = rng.normal(dist.location, dist.scale, n)
     if dist.kind == LOGNORMAL:
-        x = np.exp(x)
+        np.exp(x, out=x)
     return x
 
 
@@ -153,11 +163,13 @@ class GridPoint:
         """Aggregate each metric's column of trial values, keeping metric order.
 
         The columns stack into one C-ordered (metrics, trials) block, reduced once an
-        aggregate: rows sum like 1-D arrays, so each has the bits of its column's own.
+        aggregate: rows sum like 1-D arrays, so each has the bits of its column's own. The
+        std takes numpy's steps from the means already taken, as ``SummaryStats.of`` does.
         """
         block = np.array(list(columns.values()), dtype=np.float64)
-        aggregates = zip(*(a.tolist() for a in (block.mean(axis=1), block.std(axis=1),
-                                                 block.min(axis=1), block.max(axis=1))))
+        mean = block.mean(axis=1)
+        std = np.sqrt(_row_variances(block, mean, 0))
+        aggregates = zip(*(a.tolist() for a in (mean, std, block.min(axis=1), block.max(axis=1))))
         return cls(params, {name: TrialAggregate(*a) for name, a in zip(columns, aggregates)})
 
 
@@ -508,6 +520,34 @@ def run_subsampled_estimate(
 # --- null calibration --------------------------------------------------------
 
 
+#: The quantiles of p95, p99 and p99.9, as ``np.percentile`` divides them.
+_QUANTILES = np.array([95.0, 99.0, 99.9]) / 100
+
+
+def _percentiles(values: np.ndarray) -> np.ndarray:
+    """``np.percentile(values, [95, 99, 99.9])`` bit for bit from one sorted copy, without the
+    ``numpy.ma`` import that ``np.percentile`` makes through ``np.unique``.
+
+    numpy's linear method: quantile ``q`` sits at index ``(n - 1) * q``, between the values ``a``
+    at its floor and ``b`` after it (both the last once it reaches it); with ``g`` its distance
+    from ``a``'s index, it is ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` where
+    ``g >= 0.5``. A NaN sorts last and makes every quantile NaN.
+    """
+    x = np.sort(values)
+    virtual = (x.size - 1) * _QUANTILES
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= x.size - 1
+    below[last] = above[last] = -1
+    g = virtual - below
+    a, b = x[below.astype(np.intp)], x[above.astype(np.intp)]
+    result = a + (b - a) * g
+    np.subtract(b, (b - a) * (1 - g), out=result, where=g >= 0.5)
+    if np.isnan(x[-1]):
+        result[:] = x[-1]
+    return result
+
+
 @dataclass(frozen=True)
 class NullCalibrationRow:
     """Moments and upper percentiles of |GSSMD| at one sample size.
@@ -547,9 +587,13 @@ def calibrate_null(
 
     For each size, ``trials`` independent pairs are drawn i.i.d. from
     ``dist`` and GSSMD recorded; the table holds per-size moments and the
-    95th/99th/99.9th percentiles of |GSSMD|. ``bins`` overrides the bin
-    rule as in ``gssmd``. Deterministic given the seed: trial ``t`` at the
-    ``i``-th size draws its groups from ``derive_seed(seed, i, t, 0|1)``.
+    95th/99th/99.9th percentiles of |GSSMD|, by ``np.percentile``'s linear
+    method (``_percentiles``, which spares a start ``numpy.ma``). ``bins``
+    overrides the bin rule as in ``gssmd``. Deterministic given the seed:
+    trial ``t`` at the ``i``-th size draws its groups from
+    ``derive_seed(seed, i, t, 0|1)``; a standard normal or lognormal ``dist``
+    (location 0, scale 1, as fig6's default) draws by ``standard_normal``
+    (see ``_sample``).
     """
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
@@ -578,7 +622,7 @@ def calibrate_null(
                                f"draws at n = {n} leave the float range ({exc})") from None
         signed = columns["gssmd"]
         abs_vals = np.abs(signed)
-        p95, p99, p999 = np.percentile(abs_vals, [95.0, 99.0, 99.9])
+        p95, p99, p999 = _percentiles(abs_vals)
         rows.append(NullCalibrationRow(
             n=n,
             mean=float(abs_vals.mean()),

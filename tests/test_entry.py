@@ -1,9 +1,9 @@
 """The process entry: ``python -m assayqc.cli`` goes through ``cli.run``.
 
 A command run as a process must end as the same command run in-process through ``main``:
-the same exit code, stdout and stderr bytes and written files. ``run`` freezes the objects
-alive at exit so that shutdown skips collecting them; ``main`` must not, since tests call it
-many times in one process.
+the same exit code, stdout and stderr bytes and written files. The process runs without the
+cyclic collector, and ``run`` freezes the objects alive at exit so that shutdown skips
+collecting them; ``main`` must do neither, since tests call it many times in one process.
 """
 
 import gc
@@ -112,9 +112,48 @@ def test_main_leaves_the_freeze_count_and_run_raises_it(tmp_path, capsys):
     try:
         assert run(argv) == 0
         assert gc.get_freeze_count() > before
+        assert not gc.isenabled()
     finally:
         gc.unfreeze()
+        gc.enable()
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    write_inputs(tmp_path)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["metrics", str(tmp_path / "train.csv")]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out
+
+
+# The CLI module run as __main__, as `python -m assayqc.cli` runs it, counting the cyclic
+# collections from its first line until exit. It is compiled before the count starts: with
+# no bytecode cache, compiling it may collect before any of its lines can act.
+COUNT_COLLECTIONS = """
+import atexit, gc, importlib.util, os, sys
+spec = importlib.util.find_spec("assayqc.cli")
+code = spec.loader.get_code(spec.name)
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+atexit.register(lambda: os.write(2, f"collections {starts}".encode()))
+sys.argv = [spec.origin, *sys.argv[1:]]
+exec(code, {"__name__": "__main__", "__spec__": spec, "__file__": spec.origin,
+            "__package__": "assayqc", "__builtins__": __builtins__})
+"""
+
+
+@pytest.mark.parametrize("name", ["simulate_fig1", "calibrate", "hits_test"])
+def test_a_process_runs_no_cyclic_collection(tmp_path, name):
+    write_inputs(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", COUNT_COLLECTIONS, *COMMANDS[name]],
+                          cwd=tmp_path, env=child_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == b"collections []", proc.stderr
 
 
 def test_a_closed_stdout_exits_2_with_one_line(tmp_path):

@@ -19,7 +19,8 @@ from assayqc import (
     ovl,
 )
 from assayqc import overlap
-from assayqc.errors import EdgesOutOfOrder, NonFiniteRange, NumericError
+from assayqc.errors import (EdgesOutOfOrder, NonFiniteRange, NumericError,
+                            UndefinedMeanDifference)
 from assayqc.overlap import _gssmd_from_arrays, _gssmd_rows, _histogram_counts
 
 # Overlap of two unit-variance normals d apart is 2*Phi(-d/2); at d=1 that
@@ -305,10 +306,10 @@ class TestGssmdRows:
         assert np.all(got[[0, 3, 4, 5, 7]] == 0.0)
 
     @pytest.mark.parametrize("bins", [None, 5, 20, 50])
-    def test_rows_a_few_ulps_wide_use_the_per_pair_kernel(self, bins):
-        # Edges a fraction of an ulp apart round onto each other, so one
-        # correction step may not find the bin; such rows take the per-pair
-        # path, next to an ordinary row.
+    def test_rows_a_few_ulps_wide_count_as_their_pairs_do(self, bins):
+        # Edges a fraction of an ulp apart round onto each other; the counting
+        # function counts the values below each edge, so such rows bin in a
+        # block, next to an ordinary row, as each pair bins alone.
         rng = np.random.default_rng(11)
         ulp = np.spacing(1.0)
         narrow = 1.0 + ulp * rng.integers(0, 4, (2, 16))
@@ -439,9 +440,10 @@ class TestCountingRule:
         assert outcome(_gssmd_rows, neg[None], pos[None], bins) == want
 
     @pytest.mark.parametrize("bins", [None, 5, 40])
-    def test_subnormal_span_row_in_a_block_of_normal_rows(self, bins):
-        # A span of two subnormal units makes the step span/k 0: an array linspace
-        # with a zero step would rescale every row's edges, so the row goes pair by pair.
+    def test_subnormal_span_row_keeps_its_zero_step_edges_among_normal_rows(self, bins):
+        # A span of two subnormal units makes the step span/k 0: that row's edges take
+        # linspace's zero-step branch, and the rows beside it keep theirs, where an array
+        # linspace would rescale every row's edges.
         rng = np.random.default_rng(17)
         neg, pos = rng.normal(size=(5, 9)), rng.normal(size=(5, 9))
         neg[2], pos[2] = 5e-324 * rng.integers(0, 3, 9), 5e-324 * rng.integers(0, 3, 9)
@@ -449,9 +451,9 @@ class TestCountingRule:
         assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
 
     @pytest.mark.parametrize("bins", [10, 20, 40, 80])
-    def test_many_bins_slice_the_rows(self, bins):
+    def test_many_bins_count_slices_of_fewer_rows(self, bins):
         # A slice holds 20 * 24 // (8 * (k + 1)) rows: 5, 2 and 1, and at 80 bins
-        # none, so every row goes pair by pair.
+        # none, so the counting function gets one row a slice.
         rng = np.random.default_rng(bins)
         neg, pos = rng.normal(size=(20, 12)), rng.normal(0.5, 1, (20, 12))
         assert_same_bits(_gssmd_rows(neg, pos, bins), per_pair_rows(neg, pos, bins))
@@ -476,6 +478,29 @@ class TestNonFiniteRange:
             assert outcome(_gssmd_rows, neg[None], np.array([[1e308, 1e308]]), 5) == want
         # A NumericError (exit 3 in the CLI), and still a ValueError.
         assert issubclass(NonFiniteRange, NumericError)
+
+
+class TestUndefinedMeanDifference:
+    """Means that overflow leave GSSMD no sign: a pair and a block raise one error."""
+
+    @pytest.mark.parametrize("rows, at", [(1, 0), (8, 0), (8, 5)])
+    def test_means_that_overflow(self, rows, at):
+        neg, pos = np.random.default_rng(rows + at).normal(size=(2, rows, 2))
+        neg[at], pos[at] = [1.7e308, 1.7e308], [1.7e308, 1.6e308]
+        want = (UndefinedMeanDifference,
+                "the group means inf (neg) and inf (pos) overflow: their difference has no sign")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert outcome(_gssmd_rows, neg, pos, None) == want
+            assert outcome(_gssmd_from_arrays, neg[at], pos[at]) == want
+            assert outcome(gssmd, SampleSet(neg[at]), SampleSet(pos[at])) == want
+        # A NumericError (exit 3 in the CLI), and still a ValueError.
+        assert issubclass(UndefinedMeanDifference, NumericError)
+
+    def test_one_infinite_mean_keeps_its_sign(self):
+        neg, pos = np.array([[1.7e308, 1.7e308]]), np.array([[0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            assert_same_bits(_gssmd_rows(neg, pos), np.array([-1.0]))
+            assert _gssmd_from_arrays(neg[0], pos[0]).sign == -1
 
 
 SPECIAL_ROWS = ["inf", "-inf", "nan", "all equal", "2 subnormal units", "3 subnormal units",
@@ -561,8 +586,8 @@ class TestRowKernelMemory:
         neg, pos = np.random.default_rng(3).normal(size=(2, 8, 1000))
         assert peak_bytes(_gssmd_rows, neg, pos, bins) <= bound * (neg.nbytes + pos.nbytes)
 
-    def test_edges_that_outgrow_the_chunk_go_pair_by_pair(self):
-        # Each pair holds its own 10**5 + 1 edges and counts, never every row's.
+    def test_edges_that_outgrow_the_chunk_count_one_row_a_slice(self):
+        # Each one-row slice holds its own 10**5 + 1 edges and counts, never every row's.
         neg, pos = np.random.default_rng(4).normal(size=(2, 8, 1000))
         edge_bytes = 8 * (10**5 + 1)
         assert peak_bytes(_gssmd_rows, neg, pos, 10**5) <= 8 * (neg.nbytes + pos.nbytes

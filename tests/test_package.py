@@ -186,3 +186,22 @@ def test_a_start_that_only_parses_loads_neither_json_nor_dataclasses():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "fig6", "--seed", "1", "--config", "fig6.json", "--out-dir", "fig6"],
+    ["calibrate", "--seed", "1", "--sizes", "3", "10", "--trials", "100", "--out-dir", "cal"],
+], ids=["fig6", "calibrate"])
+def test_a_null_calibration_start_loads_no_numpy_ma(tmp_path, argv):
+    """``np.percentile`` imports ``numpy.ma`` (through ``np.unique``); the table's do not."""
+    (tmp_path / "fig6.json").write_text(json.dumps({"sizes": [3, 10], "trials": 100}))
+    probe = ("import sys\n"
+             "from assayqc.cli import main\n"
+             "assert main(sys.argv[1:]) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout

@@ -146,6 +146,38 @@ class TestDraw:
             DistributionSpec.normal(0, 0)
 
 
+class RecordingGenerator:
+    """A generator that records the names of the methods called on it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+class TestSample:
+    """``_sample`` has the bits of ``rng.normal`` (and its exp), by the standard path where
+    the spec is (0, 1)."""
+
+    @pytest.mark.parametrize("kind", ["normal", "lognormal"])
+    @pytest.mark.parametrize("location, scale, path", [
+        (0.0, 1.0, "standard_normal"), (-0.0, 1.0, "standard_normal"), (0, 1, "standard_normal"),
+        (0.5, 1.0, "normal"), (0.0, 2.0, "normal"), (-3.0, 0.25, "normal"),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    def test_bits_of_normal(self, kind, location, scale, path, n):
+        for seed in range(3):
+            rng = RecordingGenerator(seed)
+            got = simulation._sample(DistributionSpec(kind, location, scale), n, rng)
+            want = np.random.default_rng(seed).normal(location, scale, n)
+            if kind == "lognormal":
+                want = np.exp(want)
+            assert got.tobytes() == want.tobytes()
+            assert rng.calls == [path]
+
+
 class TestInjectOutliers:
     def test_zero_fraction_returns_input(self):
         s = draw(NORMAL, 100, 1)
@@ -316,6 +348,25 @@ class TestSubsampledEstimate:
         base = draw(NORMAL, 50, 1)
         with pytest.raises(ConfigError, match=r"^repeats must be >= 1$"):
             run_subsampled_estimate(base, base, 5, 0, 0)
+
+
+class TestPercentiles:
+    """The null table's p95/p99/p99.9 have the bits of ``np.percentile``'s."""
+
+    @given(size=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           spread=st.integers(0, 300), distinct=st.integers(1, 4000), nan=st.booleans())
+    def test_bits_of_np_percentile(self, size, seed, spread, distinct, nan):
+        rng = np.random.default_rng(seed)
+        # Magnitudes up to 1e300 mixed (b - a may overflow), and ties once ``distinct`` is
+        # below the size; a NaN anywhere makes every percentile NaN.
+        pool = rng.normal(size=distinct) * 10.0 ** rng.uniform(-spread, spread, distinct)
+        values = pool[rng.integers(0, distinct, size)]
+        if nan:
+            values[rng.integers(0, size)] = np.nan
+        with np.errstate(all="ignore"):
+            got = simulation._percentiles(values)
+            want = np.percentile(values, [95.0, 99.0, 99.9])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCalibrateNull:
@@ -554,6 +605,17 @@ class TestRowMoments:
         columns = dict(zip(names, block.T if strided else block.T.copy()))
         want = GridPoint({"x": 1.0}, {name: _moments(col) for name, col in columns.items()})
         assert same_points(GridPoint.of({"x": 1.0}, columns), want)
+
+    @given(metrics=st.integers(1, 5), trials=st.integers(1, 129),
+           seed=st.integers(0, 2 ** 32 - 1), spread=st.integers(0, 100))
+    def test_grid_point_std_is_the_blocks_own(self, metrics, trials, seed, spread):
+        """GridPoint.of's std, from the means it has taken, against ``block.std(axis=1)``."""
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(metrics, trials)) * 10.0 ** rng.uniform(-spread, spread,
+                                                                          (metrics, trials))
+        point = GridPoint.of({"x": 1.0}, {f"m{i}": row for i, row in enumerate(block)})
+        got = np.array([a.std for a in point.metrics.values()])
+        np.testing.assert_array_equal(got.view(np.int64), block.std(axis=1).view(np.int64))
 
 
 def same_points(a, b):
