@@ -43,20 +43,21 @@ csv_text = "plate_id,row,col,role,value\n" + "\n".join(
 ) + "\n"
 plate1, plate2 = load_plate_csv(io.StringIO(csv_text))
 
-quality = select_hits(plate1, ThresholdRule.gssmd()).assay_quality
+reports = {rule.kind.value: select_hits(plate1, rule)
+           for rule in (ThresholdRule.gssmd(), ThresholdRule.sigma(), ThresholdRule.ssmd(),
+                        ThresholdRule.logistic())}
+quality = reports["gssmd"].assay_quality  # every rule's report holds the same one
 print(f"plate1 assay quality: Z'={quality.z_factor:.2f} SSMD={quality.ssmd:.2f} "
       f"GSSMD={quality.gssmd:.3f} accepted={quality.accepted}")
 
 print(f"\n{'rule':>10} {'threshold':>10} {'hits':>5}   (12 planted)")
-for rule in (ThresholdRule.gssmd(), ThresholdRule.sigma(), ThresholdRule.ssmd(),
-             ThresholdRule.logistic()):
-    report = select_hits(plate1, rule)
-    print(f"{rule.kind.value:>10} {report.threshold:10.3f} {report.n_hits:5d}")
+for kind, report in reports.items():
+    print(f"{kind:>10} {report.threshold:10.3f} {report.n_hits:5d}")
 
 neg1, pos1 = plate1.control_sets()
 neg2, pos2 = plate2.control_sets()
 model = fit_logistic_1d(neg1, pos1)
-direction = select_hits(plate1, ThresholdRule.logistic()).direction
+direction = reports["logistic"].direction
 result = evaluate_threshold(neg2, pos2, model.boundary, direction)
 print(f"\nlogistic boundary from plate1: {model.boundary:.3f} "
       f"(converged={model.converged}, {model.iterations} iterations)")

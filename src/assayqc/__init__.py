@@ -109,9 +109,8 @@ _EXPORTS = {
     ),
     "hits": (
         "Direction", "GssmdThreshold", "HitReport", "LogisticModel", "RuleKind",
-        "ThresholdRule", "assay_quality", "compute_threshold", "evaluate_threshold",
-        "fit_logistic_1d", "gssmd_threshold", "select_hits", "sigma_rule_threshold",
-        "ssmd_rule_threshold",
+        "ThresholdRule", "assay_quality", "evaluate_threshold", "fit_logistic_1d",
+        "gssmd_threshold", "select_hits", "sigma_rule_threshold", "ssmd_rule_threshold",
     ),
     "metrics": ("cnr", "sbr", "snr_assay", "ssmd", "z_factor"),
     "overlap": (

@@ -30,10 +30,10 @@ from .errors import (
     SingleClassInput,
     ZeroSign,
 )
-from .overlap import _result_from_counts, build_histogram_pair
+from .overlap import HistogramPair, OverlapResult, build_histogram_pair
 from .plates import Plate, WellRole
-from .report import MetricReport, compute_metric_report
-from .samples import SampleSet, summarize
+from .report import MetricReport, measure_controls
+from .samples import SampleSet, SummaryStats, summarize
 
 
 class Direction(str, Enum):
@@ -87,11 +87,11 @@ class ThresholdRule:
         return cls(RuleKind.LOGISTIC, 1.0)
 
 
-def _direction_from_means(neg: SampleSet, pos: SampleSet) -> Direction:
-    diff = float(pos.values.mean() - neg.values.mean())
-    if diff == 0:
+def _direction(result: OverlapResult) -> Direction:
+    """The hit direction: the sign of the controls' mean difference, which must not be 0."""
+    if result.sign == 0:
         raise ZeroSign("control means are exactly equal; no hit direction")
-    return Direction.POSITIVE_IS_HIGHER if diff > 0 else Direction.POSITIVE_IS_LOWER
+    return Direction.POSITIVE_IS_HIGHER if result.sign > 0 else Direction.POSITIVE_IS_LOWER
 
 
 @dataclass(frozen=True)
@@ -113,40 +113,42 @@ def gssmd_threshold(
     Scans shared bins from the negative-control mode toward the
     positive-control mode and returns the center of the first bin where the
     positive mass reaches the negative mass. Disjoint control ranges yield
-    the midpoint of the empty gap between the extreme samples. Always
-    returns a boundary; ``meets_target`` states whether
-    |GSSMD| >= 1 - alpha.
+    the midpoint of the empty gap between the extreme samples.
+    ``meets_target`` states whether |GSSMD| >= 1 - alpha. Binning errors
+    come first; then equal means raise ``ZeroSign`` and overflowing ones
+    ``UndefinedMeanDifference``, as neither gives a hit direction.
     """
-    direction = _direction_from_means(neg, pos)
-
     pair = build_histogram_pair(neg, pos, bins)
-    g = _result_from_counts(pair.counts_neg, pair.counts_pos, neg.values, pos.values).gssmd
-    meets = abs(g) >= 1.0 - alpha
+    result = OverlapResult.of(pair.counts_neg, pair.counts_pos, neg.values, pos.values)
+    direction, g = _direction(result), result.gssmd
+    return GssmdThreshold(_crossing(neg, pos, pair), direction, abs(g) >= 1.0 - alpha, g,
+                          pair.bin_width)
 
+
+def _crossing(neg: SampleSet, pos: SampleSet, pair: HistogramPair) -> float:
+    """``gssmd_threshold``'s boundary between controls already binned to ``pair``."""
     neg_lo, neg_hi = float(neg.values.min()), float(neg.values.max())
     pos_lo, pos_hi = float(pos.values.min()), float(pos.values.max())
     if neg_hi < pos_lo or pos_hi < neg_lo:
-        t = 0.5 * (min(neg_hi, pos_hi) + max(neg_lo, pos_lo))
-        return GssmdThreshold(t, direction, meets, g, pair.bin_width)
+        return 0.5 * (min(neg_hi, pos_hi) + max(neg_lo, pos_lo))
 
     mass_neg, mass_pos = pair.mass_neg, pair.mass_pos
     centers = pair.centers
     b_neg = int(np.argmax(mass_neg))
     b_pos = int(np.argmax(mass_pos))
     step = 1 if b_pos >= b_neg else -1
-    threshold = centers[b_pos]  # fallback: the positive mode itself
     for b in range(b_neg, b_pos + step, step):
         if mass_pos[b] >= mass_neg[b]:
-            threshold = centers[b]
-            break
-    return GssmdThreshold(float(threshold), direction, meets, g, pair.bin_width)
+            return float(centers[b])
+    return float(centers[b_pos])  # fallback: the positive mode itself
 
 
-def _shifted_mean(neg: SampleSet, c: float, direction: Direction, rule: str) -> float:
-    """Negative-control mean shifted c standard deviations toward the hits."""
-    stats = summarize(neg)
+def _shifted_mean(stats: SummaryStats, kind: RuleKind, k: float, direction: Direction) -> float:
+    """Negative-control mean shifted toward the hits by k standard deviations (sigma rule),
+    or by k * sqrt(2) of them (ssmd rule, k = beta)."""
     if stats.std_dev == 0:
-        raise DegenerateVariance(f"{rule} rule needs a positive control spread")
+        raise DegenerateVariance(f"{kind.value} rule needs a positive control spread")
+    c = k * math.sqrt(2.0) if kind is RuleKind.SSMD else k
     if direction is Direction.POSITIVE_IS_LOWER:
         return stats.mean - c * stats.std_dev
     return stats.mean + c * stats.std_dev
@@ -154,7 +156,7 @@ def _shifted_mean(neg: SampleSet, c: float, direction: Direction, rule: str) -> 
 
 def sigma_rule_threshold(neg: SampleSet, k: float, direction: Direction) -> float:
     """Negative-control mean shifted k standard deviations toward the hits."""
-    return _shifted_mean(neg, k, direction, "sigma")
+    return _shifted_mean(summarize(neg), RuleKind.SIGMA, k, direction)
 
 
 def ssmd_rule_threshold(neg: SampleSet, beta: float, direction: Direction) -> float:
@@ -164,7 +166,7 @@ def ssmd_rule_threshold(neg: SampleSet, beta: float, direction: Direction) -> fl
     SSMD = (t - mean) / (sigma * sqrt(2)) under the pooled-variance form
     with the sample treated as zero-variance, so t = mean +/- beta*sqrt(2)*sigma.
     """
-    return _shifted_mean(neg, beta * math.sqrt(2.0), direction, "ssmd")
+    return _shifted_mean(summarize(neg), RuleKind.SSMD, beta, direction)
 
 
 @dataclass(frozen=True)
@@ -262,14 +264,18 @@ def evaluate_threshold(
     return ThresholdEvaluation(correct / n, float(neg_hits.mean()))
 
 
-def assay_quality(plate: Plate, bins: int | None = None) -> MetricReport:
-    """All eight metrics on a plate's control groups, with acceptance flags."""
+def _controls(plate: Plate) -> tuple[SampleSet, SampleSet]:
+    """The plate's (negative, positive) control sets, which need two wells each."""
     if plate.count(WellRole.POSITIVE) < 2 or plate.count(WellRole.NEGATIVE) < 2:
         raise InsufficientControls(
             f"plate {plate.plate_id} needs >= 2 positive and >= 2 negative control wells"
         )
-    neg, pos = plate.control_sets()
-    return compute_metric_report(neg, pos, bins)
+    return plate.control_sets()
+
+
+def assay_quality(plate: Plate, bins: int | None = None) -> MetricReport:
+    """All eight metrics on a plate's control groups, with acceptance flags."""
+    return measure_controls(*_controls(plate), bins)[0]
 
 
 @dataclass
@@ -294,44 +300,31 @@ class HitReport:
         }
 
 
-def compute_threshold(
-    neg: SampleSet,
-    pos: SampleSet,
-    rule: ThresholdRule,
-    bins: int | None = None,
-    direction: Direction | None = None,
-) -> tuple[float, Direction]:
-    """Boundary and hit direction for a control pair under the given rule.
-
-    The overlap and logistic rules derive the direction from the controls;
-    an explicit ``direction`` is honored only by the one-sided sigma/ssmd
-    rules. A non-finite boundary, which no report holds, raises ``NumericError``.
-    """
-    if rule.kind is RuleKind.GSSMD_OVERLAP:
-        cut = gssmd_threshold(neg, pos, alpha=rule.parameter, bins=bins)
-        threshold, direction = cut.threshold, cut.direction
-    elif rule.kind is RuleKind.LOGISTIC:
-        threshold, direction = fit_logistic_1d(neg, pos).boundary, _direction_from_means(neg, pos)
-    else:
-        if direction is None:
-            direction = _direction_from_means(neg, pos)
-        shifted = sigma_rule_threshold if rule.kind is RuleKind.SIGMA else ssmd_rule_threshold
-        threshold = shifted(neg, rule.parameter, direction)
-    if not math.isfinite(threshold):
-        raise NumericError(f"{rule.kind.value} threshold is {threshold}, outside the float range")
-    return threshold, direction
-
-
 def select_hits(
     plate: Plate,
     rule: ThresholdRule,
     bins: int | None = None,
     direction: Direction | None = None,
 ) -> HitReport:
-    """Threshold the plate's sample wells against its own controls."""
-    quality = assay_quality(plate, bins)
-    neg, pos = plate.control_sets()
-    threshold, direction = compute_threshold(neg, pos, rule, bins, direction)
+    """Threshold the plate's sample wells against its own controls, measured once for the
+    quality report and the rule alike.
+
+    The overlap and logistic rules derive the direction from the controls; an explicit
+    ``direction`` is honored only by the one-sided sigma/ssmd rules. A non-finite boundary,
+    which no report holds, raises ``NumericError``.
+    """
+    neg, pos = _controls(plate)
+    quality, neg_stats, pair, result = measure_controls(neg, pos, bins)
+    if rule.kind is RuleKind.GSSMD_OVERLAP:
+        threshold, direction = _crossing(neg, pos, pair), _direction(result)
+    elif rule.kind is RuleKind.LOGISTIC:
+        threshold, direction = fit_logistic_1d(neg, pos).boundary, _direction(result)
+    else:
+        if direction is None:
+            direction = _direction(result)
+        threshold = _shifted_mean(neg_stats, rule.kind, rule.parameter, direction)
+    if not math.isfinite(threshold):
+        raise NumericError(f"{rule.kind.value} threshold is {threshold}, outside the float range")
     beyond = direction.beyond(plate.value, threshold)
     hits = plate.addresses(plate.is_role(WellRole.SAMPLE) & beyond)
     return HitReport(

@@ -80,6 +80,22 @@ class OverlapResult:
     bins_used: int
     sign: int
 
+    @classmethod
+    def of(
+        cls, c_neg: np.ndarray, c_pos: np.ndarray, neg: np.ndarray, pos: np.ndarray
+    ) -> "OverlapResult":
+        """The result of two raw arrays from their shared-edge bin counts."""
+        overlap = float(_ovl_from_counts(c_neg, c_pos, neg.size, pos.size))
+        sign = int(_mean_signs(neg[None], pos[None])[0])
+        gcnr = 1.0 - overlap
+        return cls(
+            ovl=overlap,
+            gcnr=gcnr,
+            gssmd=sign * gcnr,
+            bins_used=int(c_neg.size),
+            sign=sign,
+        )
+
 
 def bin_count(n: int) -> int:
     """Histogram bin count for ``n`` pooled samples: ceil(1 + log2(n)), min 1."""
@@ -187,23 +203,7 @@ def _gssmd_from_arrays(
 ) -> OverlapResult:
     """Array-level core of ``gssmd``, which ``_gssmd_rows`` matches row by row."""
     _, c_neg, c_pos = _histogram_counts(neg, pos, bins)
-    return _result_from_counts(c_neg, c_pos, neg, pos)
-
-
-def _result_from_counts(
-    c_neg: np.ndarray, c_pos: np.ndarray, neg: np.ndarray, pos: np.ndarray
-) -> OverlapResult:
-    """``OverlapResult`` of two raw arrays from their shared-edge bin counts."""
-    overlap = float(_ovl_from_counts(c_neg, c_pos, neg.size, pos.size))
-    sign = int(_mean_signs(neg[None], pos[None])[0])
-    gcnr = 1.0 - overlap
-    return OverlapResult(
-        ovl=overlap,
-        gcnr=gcnr,
-        gssmd=sign * gcnr,
-        bins_used=int(c_neg.size),
-        sign=sign,
-    )
+    return OverlapResult.of(c_neg, c_pos, neg, pos)
 
 
 def _mean_signs(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:

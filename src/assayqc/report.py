@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__, metrics
 from .errors import NumericError
-from .overlap import gssmd as overlap_gssmd
-from .samples import SampleSet, summarize
+from .overlap import HistogramPair, OverlapResult, build_histogram_pair
+from .samples import SampleSet, SummaryStats, summarize
 
 #: Conventional acceptance levels: Z' >= 0.5, |SSMD| >= 3, |GSSMD| >= 0.95.
 ACCEPTANCE_THRESHOLDS = {"z_factor": 0.5, "ssmd": 3.0, "gssmd": 0.95}
@@ -42,14 +42,9 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def round12(x: float) -> float:
-    """Round to 12 significant digits (the serialization precision)."""
-    return float(text12(x))
-
-
 def _normalize(obj):
-    if isinstance(obj, float):  # includes np.float64
-        return round12(obj)
+    if isinstance(obj, float):  # includes np.float64; rounded to the 12 digits written
+        return float(text12(obj))
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
@@ -108,6 +103,15 @@ def compute_metric_report(
 ) -> MetricReport:
     """Summarize both groups and evaluate every metric on the pair; one that overflows to a
     non-finite value, which no report format holds, raises ``NumericError`` naming it."""
+    return measure_controls(neg, pos, bins)[0]
+
+
+def measure_controls(
+    neg: SampleSet, pos: SampleSet, bins: int | None = None
+) -> tuple[MetricReport, SummaryStats, HistogramPair, OverlapResult]:
+    """``compute_metric_report``'s report, the negative group's summary, the pair's histograms
+    and their overlap result: every hit rule's inputs. It summarizes, scores Z' and SSMD, bins,
+    then scores S/N and S/B, so an input that breaks two steps raises the first one's error."""
     s_neg, s_pos = summarize(neg), summarize(pos)
 
     def guarded(name, fn):
@@ -121,8 +125,9 @@ def compute_metric_report(
 
     z = guarded("z_factor", metrics.z_factor)
     s = guarded("ssmd", metrics.ssmd)
-    ov = overlap_gssmd(neg, pos, bins)
-    return MetricReport(
+    pair = build_histogram_pair(neg, pos, bins)
+    ov = OverlapResult.of(pair.counts_neg, pair.counts_pos, neg.values, pos.values)
+    report = MetricReport(
         snr=guarded("snr", metrics.snr_assay),
         sbr=guarded("sbr", metrics.sbr),
         z_factor=z,
@@ -136,6 +141,7 @@ def compute_metric_report(
         bins=ov.bins_used,
         accepted=_acceptance_flags(z, s, ov.gssmd),
     )
+    return report, s_neg, pair, ov
 
 
 def _timestamp() -> str:

@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import assayqc.overlap
+import assayqc.samples
 from assayqc import (
     DegenerateVariance,
     Direction,
@@ -13,12 +16,13 @@ from assayqc import (
     RuleKind,
     SampleSet,
     SingleClassInput,
+    SummaryStats,
     ThresholdRule,
     Well,
     WellRole,
     ZeroSign,
     assay_quality,
-    compute_threshold,
+    compute_metric_report,
     derive_seed,
     draw,
     evaluate_threshold,
@@ -28,6 +32,7 @@ from assayqc import (
     sigma_rule_threshold,
     ssmd_rule_threshold,
 )
+from assayqc.errors import NonFiniteRange, UndefinedMeanDifference
 
 NORMAL = DistributionSpec.normal(0, 1)
 
@@ -149,12 +154,12 @@ class TestSigmaRule:
             sigma_rule_threshold(SampleSet([5.0, 5.0]), 3.0, Direction.POSITIVE_IS_HIGHER)
 
 
-class TestComputeThreshold:
+class TestSelectHitsThreshold:
     @pytest.mark.parametrize("rule", [ThresholdRule.sigma(1e308), ThresholdRule.ssmd(1e308)])
     def test_a_threshold_outside_the_float_range_raises(self, rule):
-        neg, pos = SampleSet([0.0, 10.0, 20.0]), SampleSet([100.0, 120.0])
+        plate = make_plate("p", [0.0, 10.0, 20.0], [100.0, 120.0])
         with pytest.raises(NumericError, match=f"^{rule.kind.value} threshold is inf, outside"):
-            compute_threshold(neg, pos, rule)
+            select_hits(plate, rule)
 
 
 class TestSsmdRule:
@@ -323,3 +328,98 @@ class TestSelectHits:
         assert abs(g.threshold - l.threshold) <= cut.bin_width
         assert s.n_hits > g.n_hits
         assert set(s.hits) >= set(g.hits)
+
+
+RULES = (ThresholdRule.gssmd(), ThresholdRule.sigma(), ThresholdRule.ssmd(),
+         ThresholdRule.logistic())
+RULE_IDS = [rule.kind.value for rule in RULES]
+
+
+class TestOnePass:
+    """One ``select_hits`` gathers, summarizes, bins and signs a plate's controls once."""
+
+    CALLS = {  # each function and how often one select_hits runs it, under every rule
+        Plate.control_sets: 1,
+        assayqc.samples._finite: 2,  # one check a control group
+        SummaryStats.of.__func__: 2,  # one summary a control group
+        assayqc.overlap._histogram_counts: 1,
+        assayqc.overlap._mean_signs: 1,  # the sign of the mean difference
+    }
+
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+    def test_each_control_step_runs_once(self, rule):
+        rng = np.random.default_rng(0)
+        plate = make_plate("p", rng.normal(0, 1, 64), rng.normal(10, 1, 64),
+                           rng.normal(5, 3, 64))
+        names = {f.__code__: f.__qualname__ for f in self.CALLS}
+        calls = dict.fromkeys(names.values(), 0)
+
+        def profile(frame, event, arg):  # counts, as bench/layers.py's CallCounter does
+            if event == "call" and frame.f_code in names:
+                calls[names[frame.f_code]] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            select_hits(plate, rule)
+        finally:
+            sys.setprofile(previous)
+        assert calls == {f.__qualname__: n for f, n in self.CALLS.items()}
+
+
+WIDE = [-1e308, -1e307], [1e308, 1e307]  # a pooled range of no finite width
+OVERFLOW = [1.7e308] * 2, [1.7e308, 1.6e308]  # group means that overflow to inf
+EQUAL = [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]  # exactly equal means: no hit direction
+DIRECTIONS = (None, Direction.POSITIVE_IS_HIGHER, Direction.POSITIVE_IS_LOWER)
+DIRECTION_IDS = ["auto", "higher", "lower"]
+NO_DIRECTION = "^control means are exactly equal; no hit direction$"
+
+
+def _threshold(controls, rule, direction=None):
+    return select_hits(make_plate("p", *controls, [4.0]), rule, direction=direction).threshold
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the floats overflow, unsilenced
+class TestErrorPrecedence:
+    """Which error an input that breaks several steps raises: the first step's."""
+
+    @pytest.mark.parametrize("controls, value", [(WIDE, "-inf"), (OVERFLOW, "nan")],
+                             ids=["wide", "overflow"])
+    def test_the_report_raises_its_z_factor(self, controls, value):
+        with pytest.raises(NumericError, match=f"^z_factor of these controls is {value}, "):
+            compute_metric_report(*map(SampleSet, controls))
+
+    @pytest.mark.parametrize("direction", DIRECTIONS, ids=DIRECTION_IDS)
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+    @pytest.mark.parametrize("controls, value", [(WIDE, "-inf"), (OVERFLOW, "nan")],
+                             ids=["wide", "overflow"])
+    def test_select_hits_raises_the_reports_error_under_every_rule(
+        self, controls, value, rule, direction
+    ):
+        with pytest.raises(NumericError, match=f"^z_factor of these controls is {value}, "):
+            _threshold(controls, rule, direction)
+
+    @pytest.mark.parametrize("controls, error", [
+        (WIDE, NonFiniteRange),
+        (OVERFLOW, UndefinedMeanDifference),
+        (([-1e308, 1e308], [-1e308, 1e308]), NonFiniteRange),  # equal means, binned first
+    ], ids=["wide", "overflow", "wide_equal_means"])
+    def test_gssmd_threshold_bins_before_it_signs(self, controls, error):
+        with pytest.raises(error):
+            gssmd_threshold(*map(SampleSet, controls))
+
+    def test_equal_means_give_a_report_with_gssmd_zero(self):
+        assert compute_metric_report(*map(SampleSet, EQUAL)).gssmd == 0.0
+
+    @pytest.mark.parametrize("rule, direction", [
+        *[(rule, d) for rule in (RULES[0], RULES[3]) for d in DIRECTIONS],
+        (RULES[1], None),
+        (RULES[2], None),
+    ], ids=[*[f"{r}-{d}" for r in ("gssmd", "logistic") for d in DIRECTION_IDS],
+            "sigma-auto", "ssmd-auto"])
+    def test_equal_means_have_no_hit_direction(self, rule, direction):
+        with pytest.raises(ZeroSign, match=NO_DIRECTION):
+            _threshold(EQUAL, rule, direction)
+
+    def test_a_forced_direction_holds_for_sigma_on_equal_means(self):
+        assert _threshold(EQUAL, ThresholdRule.sigma(), Direction.POSITIVE_IS_HIGHER) == 5.0

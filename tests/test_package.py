@@ -1,5 +1,6 @@
 """The package namespace: its public names, its version and what a CLI start imports."""
 
+import ast
 import importlib
 import json
 import os
@@ -26,9 +27,8 @@ OWNERS = {
     ],
     "hits": [
         "Direction", "GssmdThreshold", "HitReport", "LogisticModel", "RuleKind",
-        "ThresholdRule", "assay_quality", "compute_threshold", "evaluate_threshold",
-        "fit_logistic_1d", "gssmd_threshold", "select_hits", "sigma_rule_threshold",
-        "ssmd_rule_threshold",
+        "ThresholdRule", "assay_quality", "evaluate_threshold", "fit_logistic_1d",
+        "gssmd_threshold", "select_hits", "sigma_rule_threshold", "ssmd_rule_threshold",
     ],
     "metrics": ["cnr", "sbr", "snr_assay", "ssmd", "z_factor"],
     "overlap": [
@@ -61,7 +61,7 @@ ALL_NAMES = [
     "SingleClassInput", "SubsampleEstimate", "SummaryStats", "ThresholdRule",
     "TrialAggregate", "UnknownRole", "UnknownScenario", "Well", "WellRole", "ZeroPowerSignal",
     "ZeroSign", "add_awgn", "assay_quality", "bin_count", "build_histogram_pair",
-    "calibrate_null", "cnr", "compute_metric_report", "compute_threshold", "default_config",
+    "calibrate_null", "cnr", "compute_metric_report", "default_config",
     "derive_seed", "draw", "errors", "evaluate_threshold", "fit_logistic_1d", "gssmd",
     "gssmd_threshold", "hits", "inject_outliers", "json_dumps", "load_plate_csv", "metrics",
     "overlap", "ovl", "plates", "report", "run_mean_difference_sweep", "run_noise_sweep",
@@ -69,6 +69,31 @@ ALL_NAMES = [
     "scenarios", "select_hits", "sigma_rule_threshold", "simulation", "snr_assay", "ssmd",
     "ssmd_rule_threshold", "summarize", "z_factor",
 ]
+
+
+# Every private name a module of the package imports from another, as
+# "importer: module.name" ("." is the package namespace). A module's private
+# names are its own; this list only shrinks.
+PRIVATE_IMPORTS = [
+    "cli: ._DIST_NAMES", "cli: ._RULES", "cli: ._RULE_NAMES", "cli: .__version__",
+    "cli: ._check_config",
+    "hits: ._RULE_NAMES",
+    "report: .__version__",
+    "scenarios: ._DIST_NAMES", "scenarios: ._check_config", "scenarios: simulation._noisy_pair",
+    "scenarios: simulation._run_grid",
+    "simulation: ._DIST_NAMES", "simulation: overlap._gssmd_rows", "simulation: samples._finite",
+    "simulation: samples._row_variances",
+]
+
+
+def test_modules_import_only_the_listed_private_names():
+    found = []
+    for path in sorted((ROOT / "src" / "assayqc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [f"{path.stem}: {node.module or ''}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)
 
 
 class TestNamespace:
