@@ -251,18 +251,16 @@ def _cmd_hits(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from dataclasses import asdict
-
-    from .scenarios import emit_run
-    from .simulation import DistributionSpec, calibrate_null
+    from .scenarios import cell_named, emit_run
+    from .simulation import DistributionSpec, NullCalibrationRow, calibrate_null
 
     config = {"sizes": args.sizes, "trials": args.trials, "dist": args.dist,
               "location": args.location, "scale": args.scale}
     dist = DistributionSpec(args.dist, args.location, args.scale)
-    table = calibrate_null(args.sizes, args.trials, dist, args.seed, bins=args.bins)
-    columns = ["dist", "n", "mean", "variance", "min", "max", "p95", "p99", "p999",
-               "mean_signed"]
-    rows = [{"dist": args.dist, **asdict(row)} for row in table.rows]
+    with cell_named("calibrate"):
+        table = calibrate_null(args.sizes, args.trials, dist, args.seed, bins=args.bins)
+    columns = ["dist", *NullCalibrationRow._fields]
+    rows = [{"dist": args.dist, **row._asdict()} for row in table.rows]
     written = emit_run(args.out_dir, {"null_calibration.csv": (columns, rows)},
                        "calibrate", {**config, "bins": args.bins}, args.seed)
     print(written[0], file=sys.stderr)

@@ -15,7 +15,6 @@ Four interchangeable threshold rules are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ from .errors import (
 from .overlap import HistogramPair, OverlapResult, build_histogram_pair
 from .plates import Plate, WellRole
 from .report import MetricReport, measure_controls
-from .samples import SampleSet, SummaryStats, summarize
+from .samples import Record, SampleSet, SummaryStats, summarize
 
 
 class Direction(str, Enum):
@@ -51,24 +50,23 @@ class RuleKind(str, Enum):
     GSSMD_OVERLAP, SIGMA, SSMD, LOGISTIC = _RULE_NAMES
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
+class ThresholdRule(Record):
     """A rule kind plus its single scalar parameter.
 
     Parameter meaning: alpha (allowed overlap) for the overlap rule, k for
     the sigma rule, beta for the ssmd rule; unused by the logistic rule.
     """
 
-    kind: RuleKind
-    parameter: float = 1.0
+    __slots__ = ("kind", "parameter")
 
-    def __post_init__(self):
-        if not self.parameter > 0:
+    def __init__(self, kind: RuleKind, parameter: float = 1.0):
+        if not parameter > 0:
             raise InvalidRuleParameter(
-                f"{self.kind.value} rule parameter must be positive, got {self.parameter}"
+                f"{kind.value} rule parameter must be positive, got {parameter}"
             )
-        if self.kind is RuleKind.GSSMD_OVERLAP and not self.parameter < 1:
-            raise InvalidRuleParameter(f"overlap alpha must be < 1, got {self.parameter}")
+        if kind is RuleKind.GSSMD_OVERLAP and not parameter < 1:
+            raise InvalidRuleParameter(f"overlap alpha must be < 1, got {parameter}")
+        super().__init__(kind, parameter)
 
     @classmethod
     def gssmd(cls, alpha: float = 0.05) -> "ThresholdRule":
@@ -94,8 +92,7 @@ def _direction(result: OverlapResult) -> Direction:
     return Direction.POSITIVE_IS_HIGHER if result.sign > 0 else Direction.POSITIVE_IS_LOWER
 
 
-@dataclass(frozen=True)
-class GssmdThreshold:
+class GssmdThreshold(NamedTuple):
     """Overlap-rule boundary plus whether the assay meets 1 - alpha."""
 
     threshold: float
@@ -169,8 +166,7 @@ def ssmd_rule_threshold(neg: SampleSet, beta: float, direction: Direction) -> fl
     return _shifted_mean(summarize(neg), RuleKind.SSMD, beta, direction)
 
 
-@dataclass(frozen=True)
-class LogisticModel:
+class LogisticModel(NamedTuple):
     """1-D logistic fit: P(positive | x) = sigmoid(intercept + slope * x).
 
     ``boundary`` is the 50% decision point -intercept/slope. ``converged``
@@ -278,8 +274,7 @@ def assay_quality(plate: Plate, bins: int | None = None) -> MetricReport:
     return measure_controls(*_controls(plate), bins)[0]
 
 
-@dataclass
-class HitReport:
+class HitReport(NamedTuple):
     """Hit-selection outcome for one plate under one rule."""
 
     threshold: float

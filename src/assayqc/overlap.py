@@ -22,7 +22,7 @@ by its values below each edge, numpy's own rule for non-decreasing edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .errors import EdgesOutOfOrder, NonFiniteRange, UndefinedMeanDifference
 from .samples import SampleSet
 
 
-@dataclass(frozen=True)
-class HistogramPair:
+class HistogramPair(NamedTuple):
     """Two unit-mass histograms over shared strictly increasing edges.
 
     ``counts_neg``/``counts_pos`` are the raw per-bin occupancies; the
@@ -65,8 +64,7 @@ class HistogramPair:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-@dataclass(frozen=True)
-class OverlapResult:
+class OverlapResult(NamedTuple):
     """OVL and its derived quantities for one negative/positive pair.
 
     Invariants: ``gcnr == 1 - ovl`` and ``gssmd == sign * gcnr`` exactly;

@@ -27,12 +27,11 @@ import csv
 import io
 import warnings
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +55,7 @@ _ROLE_CODES = {r.value: code for code, r in enumerate(ROLES)}
 _EMPTY = _ROLE_CODES[WellRole.EMPTY.value]
 
 
-@dataclass(frozen=True)
-class Well:
+class Well(NamedTuple):
     """One well; ``value`` is None for an empty well. A ``Plate`` checks its wells."""
 
     row: int

@@ -15,14 +15,13 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__, metrics
 from .errors import NumericError
 from .overlap import HistogramPair, OverlapResult, build_histogram_pair
-from .samples import SampleSet, SummaryStats, summarize
+from .samples import Record, SampleSet, SummaryStats, summarize
 
 #: Conventional acceptance levels: Z' >= 0.5, |SSMD| >= 3, |GSSMD| >= 0.95.
 ACCEPTANCE_THRESHOLDS = {"z_factor": 0.5, "ssmd": 3.0, "gssmd": 0.95}
@@ -59,32 +58,31 @@ def json_dumps(obj) -> str:
     return json.dumps(_normalize(obj), indent=2, allow_nan=False) + "\n"
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(Record):
     """All eight metrics for one negative/positive pair plus acceptance flags.
 
     Invariants: ``gcnr == 1 - ovl`` and ``cnr == |ssmd|``; a None metric
-    means its precondition failed on this pair.
+    means its precondition failed on this pair. ``thresholds`` defaults to a
+    copy of ``ACCEPTANCE_THRESHOLDS``, ``accepted`` to an empty dict.
     """
 
-    snr: float | None
-    sbr: float | None
-    z_factor: float | None
-    ssmd: float | None
-    cnr: float | None
-    ovl: float
-    gcnr: float
-    gssmd: float
-    n_neg: int
-    n_pos: int
-    bins: int
-    thresholds: dict[str, float] = field(
-        default_factory=lambda: dict(ACCEPTANCE_THRESHOLDS)
-    )
-    accepted: dict[str, bool] = field(default_factory=dict)
+    __slots__ = ("snr", "sbr", "z_factor", "ssmd", "cnr", "ovl", "gcnr", "gssmd", "n_neg",
+                 "n_pos", "bins", "thresholds", "accepted")
+
+    def __init__(
+        self, snr: float | None, sbr: float | None, z_factor: float | None,
+        ssmd: float | None, cnr: float | None, ovl: float, gcnr: float, gssmd: float,
+        n_neg: int, n_pos: int, bins: int, thresholds: dict[str, float] | None = None,
+        accepted: dict[str, bool] | None = None,
+    ):
+        super().__init__(snr, sbr, z_factor, ssmd, cnr, ovl, gcnr, gssmd, n_neg, n_pos, bins,
+                         dict(ACCEPTANCE_THRESHOLDS) if thresholds is None else thresholds,
+                         {} if accepted is None else accepted)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, each dict copied."""
+        return {**self._asdict(), "thresholds": dict(self.thresholds),
+                "accepted": dict(self.accepted)}
 
     def to_json(self) -> str:
         return json_dumps(self.to_dict())
@@ -152,23 +150,24 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-@dataclass(kw_only=True)
-class RunManifest:
+class RunManifest(Record):
     """Everything needed to reproduce a CLI run's outputs bit-exactly.
 
-    The fields are in the manifest's JSON key order.
+    The fields are in the manifest's JSON key order; ``outputs`` maps each
+    filename to its sha256, and ``timestamp`` defaults to the time of construction.
     """
 
-    tool: str = "assayqc"
-    version: str = __version__
-    subcommand: str
-    seed: int | None
-    config: dict
-    outputs: dict[str, str] = field(default_factory=dict)  # filename -> sha256
-    timestamp: str = field(default_factory=_timestamp)
+    __slots__ = ("tool", "version", "subcommand", "seed", "config", "outputs", "timestamp")
+
+    def __init__(self, *, tool: str = "assayqc", version: str = __version__, subcommand: str,
+                 seed: int | None, config: dict, outputs: dict[str, str] | None = None,
+                 timestamp: str | None = None):
+        super().__init__(tool, version, subcommand, seed, config,
+                         {} if outputs is None else outputs,
+                         _timestamp() if timestamp is None else timestamp)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def to_json(self) -> str:
         return json_dumps(self.to_dict())

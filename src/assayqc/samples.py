@@ -4,11 +4,10 @@ A ``SampleSet`` is one labeled group of scalar readouts (e.g. the negative
 controls of a plate); ``summarize`` reduces it to the moments every
 parametric metric consumes, for one group or for each row of a block.
 ``_finite`` checks a group, for ``SampleSet`` and for the simulation trials.
+``Record`` is the base of the package's classes that check, derive or default a field.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,17 +25,58 @@ def _finite(values, label: str = "") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class Record:
+    """Base of a class that a ``NamedTuple`` cannot be, as its ``__init__`` checks a field,
+    derives one or builds a fresh default: the fields are the subclass's ``__slots__``, in
+    order, which its ``__init__`` sets once through ``Record.__init__``. As on a frozen
+    dataclass, assigning or deleting a field raises ``AttributeError``, instances of one class
+    compare and hash by their fields, and the repr names each field. ``_asdict`` is a
+    ``NamedTuple``'s; a copy or an unpickled instance restores the fields without ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple):
+        Record.__init__(self, *state)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self.__getstate__()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SampleSet(Record):
     """An immutable copy of a non-empty vector of finite measurements, checked by ``_finite``."""
 
-    values: np.ndarray
-    label: str = ""
+    __slots__ = ("values", "label")
 
-    def __post_init__(self):
-        arr = _finite(self.values, self.label).copy()
+    def __init__(self, values, label: str = ""):
+        arr = _finite(values, label).copy()
         arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        super().__init__(arr, label)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -50,8 +90,7 @@ def _row_variances(rows: np.ndarray, means: np.ndarray, ddof: int) -> np.ndarray
     return np.square(deviations, out=deviations).sum(axis=1) / (rows.shape[1] - ddof)
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(Record):
     """Mean, unbiased variance and derived standard deviation of one group, or of each row.
 
     ``degenerate`` marks single-observation groups, whose variance is fixed
@@ -59,19 +98,17 @@ class SummaryStats:
     returning infinities. Row summaries (``of`` a block) hold one array a moment.
     """
 
-    mean: float | np.ndarray
-    variance: float | np.ndarray
-    std_dev: float | np.ndarray = field(init=False)
-    count: int = 1
-    degenerate: bool = False
+    __slots__ = ("mean", "variance", "std_dev", "count", "degenerate")
 
-    def __post_init__(self):
-        if np.less(self.variance, 0).any():
+    def __init__(self, mean: float | np.ndarray, variance: float | np.ndarray, count: int = 1,
+                 degenerate: bool = False):
+        if np.less(variance, 0).any():
             raise ValueError("variance must be non-negative")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("count must be positive")
-        std_dev = np.sqrt(self.variance)  # a float's stays a float
-        object.__setattr__(self, "std_dev", std_dev if np.ndim(std_dev) else float(std_dev))
+        std_dev = np.sqrt(variance)  # a float's stays a float
+        super().__init__(mean, variance, std_dev if np.ndim(std_dev) else float(std_dev), count,
+                         degenerate)
 
     @classmethod
     def of(cls, values: np.ndarray) -> "SummaryStats":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
@@ -127,7 +128,8 @@ def _panel_seed(master: int, *key: int) -> int:
 
 
 def write_tidy_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    text = csv_text(chain([columns], ([row[c] for c in columns] for row in rows)))
+    pick = operator.itemgetter(*columns)  # one column picks a bare value; zip makes it a row
+    text = csv_text(chain([columns], map(pick, rows) if len(columns) > 1 else zip(map(pick, rows))))
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -150,9 +152,9 @@ def _result_rows(scenario: str, points: list[GridPoint], extra: dict | None = No
 
 
 @contextmanager
-def _cell_named(scenario: str, extra: dict | None = None):
-    """A failing sweep's message, which ``_run_grid`` starts with its cell's grid values,
-    gains the scenario and ``extra`` in front: ``fig1 sigma 1, mu_diff 1e+308: ...``."""
+def cell_named(scenario: str, extra: dict | None = None):
+    """A failing sweep's message, which ``_run_grid`` or ``calibrate_null`` starts with its
+    cell, gains the scenario and ``extra`` in front: ``fig1 sigma 1, mu_diff 1e+308: ...``."""
     try:
         yield
     except (NumericError, ArithmeticError, NonFiniteValue) as exc:
@@ -188,7 +190,7 @@ def _mean_difference_panel(
     """One mean-difference sweep from ``neg`` as a table, its scale column named ``param``."""
     sweep = ScenarioConfig(neg=neg, mu_diffs=tuple(cfg["mu_diffs"]), n=cfg["n"],
                            seed=seed, trials=cfg["trials"], bins=bins)
-    with _cell_named(name, {param: neg.scale}):
+    with cell_named(name, {param: neg.scale}):
         rows = _result_rows(name, run_mean_difference_sweep(sweep).points, {param: neg.scale})
     return ["scenario", param, "mu_diff", "metric", "aggregate", "value"], rows
 
@@ -219,7 +221,7 @@ def _run_fig3(cfg: dict, seed: int, bins: int | None):
         outlier_scale=float(cfg["outlier_scale"]),
         bins=bins,
     )
-    with _cell_named("fig3"):
+    with cell_named("fig3"):
         result = run_outlier_sweep(sweep)
     rows = _result_rows("fig3", result.points)
     return {
@@ -244,7 +246,7 @@ def _noise_config(cfg: dict, n: int, seed: int, bins: int | None) -> ScenarioCon
 
 def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     base_cols = ["scenario", "mu_diff", "snr_db", "metric", "aggregate", "value"]
-    with _cell_named(name):
+    with cell_named(name):
         result = run_noise_sweep(_noise_config(cfg, cfg["n"], _panel_seed(seed, 0), bins))
     files = {
         f"{name}_panelA.csv": (base_cols, _result_rows(name, result.points)),
@@ -255,7 +257,7 @@ def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
     }
     rows_c = []
     for k, size in enumerate(cfg["panel_c_sizes"]):
-        with _cell_named(name, {"n": int(size)}):
+        with cell_named(name, {"n": int(size)}):
             res_k = run_noise_sweep(_noise_config(cfg, int(size), _panel_seed(seed, 1, k), bins))
         rows_c.extend(_result_rows(name, res_k.points, {"n": int(size)}))
     files[f"{name}_panelC.csv"] = (
@@ -284,7 +286,7 @@ def _subsample_panel(cfg: dict, seed: int, bins: int | None) -> list[GridPoint]:
 def _run_fig5(cfg: dict, seed: int, bins: int | None):
     files = _run_noise_figure("fig5", cfg, seed, bins)
     extra = {"subsample_size": cfg["subsample_size"], "repeats": cfg["subsample_repeats"]}
-    with _cell_named("fig5", extra):
+    with cell_named("fig5", extra):
         points = _subsample_panel(cfg, _panel_seed(seed, 2), bins)
     files["fig5_panelD.csv"] = (
         ["scenario", "mu_diff", "snr_db", "subsample_size", "repeats",
@@ -298,7 +300,8 @@ def _run_fig6(cfg: dict, seed: int, bins: int | None):
     rows = []
     for k, dist_kind in enumerate(cfg["dists"]):
         dist = DistributionSpec(dist_kind, float(cfg["location"]), float(cfg["scale"]))
-        table = calibrate_null(cfg["sizes"], cfg["trials"], dist, _panel_seed(seed, k), bins)
+        with cell_named("fig6"):
+            table = calibrate_null(cfg["sizes"], cfg["trials"], dist, _panel_seed(seed, k), bins)
         for r in table.rows:
             cells = [("abs_gssmd", agg_name, getattr(r, agg_name))
                      for agg_name in ("mean", "variance", "min", "max", "p95", "p99", "p999")]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -22,30 +21,28 @@ from .errors import (ConfigError, InvalidSubsampleSize, NonFiniteValue, NumericE
                      ZeroPowerSignal)
 from .overlap import _gssmd_rows
 from .report import text12
-from .samples import SampleSet, SummaryStats, _finite, _row_variances
+from .samples import Record, SampleSet, SummaryStats, _finite, _row_variances
 
 NORMAL, LOGNORMAL = _DIST_NAMES
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(Record):
     """A sampling distribution: normal or lognormal.
 
     For the lognormal kind, ``location``/``scale`` are the log-scale
     parameters; draws are exp of normal draws.
     """
 
-    kind: str
-    location: float = 0.0
-    scale: float = 1.0
+    __slots__ = ("kind", "location", "scale")
 
-    def __post_init__(self):
-        if self.kind not in _DIST_NAMES:
-            raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        if not self.scale > 0:
+    def __init__(self, kind: str, location: float = 0.0, scale: float = 1.0):
+        if kind not in _DIST_NAMES:
+            raise ConfigError(f"unknown distribution kind {kind!r}")
+        if not scale > 0:
             raise ConfigError("distribution scale must be positive")
-        if math.isnan(self.location):
+        if math.isnan(location):
             raise ConfigError("distribution location must not be NaN")
+        super().__init__(kind, location, scale)
 
     @classmethod
     def normal(cls, location: float = 0.0, scale: float = 1.0) -> "DistributionSpec":
@@ -141,8 +138,7 @@ def _noised(v: np.ndarray, snr_db: float, seed) -> np.ndarray:
 # --- sweeps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialAggregate:
+class TrialAggregate(NamedTuple):
     """Mean/std/min/max of one metric across a point's trials (std is ddof=0)."""
 
     mean: float
@@ -151,8 +147,7 @@ class TrialAggregate:
     max: float
 
 
-@dataclass
-class GridPoint:
+class GridPoint(NamedTuple):
     """One sweep configuration point with its per-metric trial aggregates."""
 
     params: dict[str, float]
@@ -173,8 +168,7 @@ class GridPoint:
         return cls(params, {name: TrialAggregate(*a) for name, a in zip(columns, aggregates)})
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     kind: str
     points: list[GridPoint]
     n: int
@@ -183,36 +177,34 @@ class ScenarioResult:
     bins: int | None = None
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Parameter grids for the sweep runners.
 
     ``neg`` describes the negative-control (background) distribution; the
     sweeps derive the positive group from it per their own contracts.
     """
 
-    neg: DistributionSpec
-    mu_diffs: tuple[float, ...] = ()
-    n: int = 1000
-    seed: int = 0
-    trials: int = 1
-    outlier_fractions: tuple[float, ...] | None = None
-    outlier_means: tuple[float, ...] | None = None
-    outlier_scale: float = 1.0
-    snr_db: tuple[float, ...] | None = None
-    bins: int | None = None
+    __slots__ = ("neg", "mu_diffs", "n", "seed", "trials", "outlier_fractions", "outlier_means",
+                 "outlier_scale", "snr_db", "bins")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(
+        self, neg: DistributionSpec, mu_diffs: tuple[float, ...] = (), n: int = 1000,
+        seed: int = 0, trials: int = 1, outlier_fractions: tuple[float, ...] | None = None,
+        outlier_means: tuple[float, ...] | None = None, outlier_scale: float = 1.0,
+        snr_db: tuple[float, ...] | None = None, bins: int | None = None,
+    ):
+        if n < 2:
             raise ConfigError("n must be >= 2")
-        if self.trials < 1:
+        if trials < 1:
             raise ConfigError("trials must be >= 1")
-        if any(not 0.0 <= f <= 1.0 for f in self.outlier_fractions or ()):
+        if any(not 0.0 <= f <= 1.0 for f in outlier_fractions or ()):
             raise ConfigError("outlier fractions must lie in [0, 1]")
-        if any(math.isnan(s) for s in self.snr_db or ()):
-            raise ConfigError(f"snr_db must not be NaN, got {list(self.snr_db)}")
-        if self.bins is not None and self.bins < 1:
+        if any(math.isnan(s) for s in snr_db or ()):
+            raise ConfigError(f"snr_db must not be NaN, got {list(snr_db)}")
+        if bins is not None and bins < 1:
             raise ConfigError("bins override must be >= 1")
+        super().__init__(neg, mu_diffs, n, seed, trials, outlier_fractions, outlier_means,
+                         outlier_scale, snr_db, bins)
 
 
 # --- batched seeding ----------------------------------------------------------
@@ -548,8 +540,7 @@ def _percentiles(values: np.ndarray) -> np.ndarray:
     return result
 
 
-@dataclass(frozen=True)
-class NullCalibrationRow:
+class NullCalibrationRow(NamedTuple):
     """Moments and upper percentiles of |GSSMD| at one sample size.
 
     ``mean``/``variance``/``min``/``max`` and the percentiles describe
@@ -568,8 +559,7 @@ class NullCalibrationRow:
     mean_signed: float
 
 
-@dataclass
-class NullCalibrationTable:
+class NullCalibrationTable(NamedTuple):
     rows: list[NullCalibrationRow]
     trials: int
     seed: int
@@ -618,8 +608,8 @@ def calibrate_null(
         try:
             [(_, columns)] = _grid_scores(seed, [((i,), (n,))], trials, 2, trial, score)
         except (FloatingPointError, NumericError) as exc:  # CLI errstate; tiny or infinite draws
-            raise NumericError(f"location {dist.location!r} and scale {dist.scale!r}: null "
-                               f"draws at n = {n} leave the float range ({exc})") from None
+            raise NumericError(f"dist {dist.kind}, location {dist.location!r}, scale "
+                               f"{dist.scale!r}, n {n}: {exc}") from None
         signed = columns["gssmd"]
         abs_vals = np.abs(signed)
         p95, p99, p999 = _percentiles(abs_vals)

@@ -704,6 +704,19 @@ def test_null_draws_out_of_float_range_name_the_key_and_exit_3(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config, scenario", [
+    (["simulate", "fig6"], {"dists": ["lognormal"], "location": 1e308}, "fig6"),
+    (["calibrate", "--dist", "lognormal", "--location", "1e308"], None, "calibrate"),
+], ids=["fig6", "calibrate"])
+def test_null_draws_out_of_float_range_name_their_cell_as_a_sweep_does(tmp_path, capsys,
+                                                                      command, config, scenario):
+    """The sweeps' form: the scenario, then each key and value of the failing cell."""
+    assert main(_calibration_argv(tmp_path, command, config)) == 3
+    assert capsys.readouterr().err == (
+        f"numeric error: {scenario} dist lognormal, location 1e+308, scale 1.0, n 3: "
+        "overflow encountered in exp\n")
+
+
 @pytest.mark.parametrize("command, config", [
     (["simulate", "fig6"], {"trials": 50}),
     (["calibrate", "--trials", "50"], None),
@@ -811,8 +824,8 @@ def test_replayed_bins_over_the_cap_exit_2(tmp_path, capsys, bins):
 
 
 @pytest.mark.parametrize("flag, value, code, line", [
-    ("--location", "-1e+308", 3, "numeric error: location -1e+308 and scale 1.0: null draws at "
-                                 "n = 3 leave the float range (overflow encountered in reduce)\n"),
+    ("--location", "-1e+308", 3, "numeric error: calibrate dist normal, location -1e+308, scale "
+                                 "1.0, n 3: overflow encountered in reduce\n"),
     ("--scale", "-inf", 2, "error: calibrate flag --scale must be a finite number, got -inf\n"),
     ("--sizes", "-1e+308", 2, "error: calibrate flag --sizes must be a list of integers under "
                               "2**63, got [-1e+308]\n"),
@@ -889,7 +902,8 @@ def test_subnormal_null_draws_name_the_size_and_exit_3(tmp_path, capsys, seed):
     assert main(["calibrate", "--seed", str(seed), "--sizes", "8", "--trials", "100",
                  "--scale", "1e-323", "--out-dir", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric error: location 0.0 and scale 1e-323: null draws at n = 8 ")
+    assert err.startswith("numeric error: calibrate dist normal, location 0.0, scale 1e-323, "
+                          "n 8: ")
     assert err.count("\n") == 1 and "round their last edges out of order" in err, err
     assert not out.exists()
 

@@ -198,8 +198,35 @@ def test_a_start_loads_only_its_subcommands_modules(tmp_path, argv, loads, skips
     assert loads <= loaded and not loaded & skips, sorted(loaded)
 
 
+@pytest.mark.parametrize("argv", [
+    ["metrics", "plate.csv"],
+    ["metrics", "group.csv"],
+    ["hits", "plate.csv", "--rule", "logistic"],
+    ["simulate", "fig1", "--seed", "1", "--config", "fig1.json", "--out-dir", "fig1"],
+    ["calibrate", "--seed", "1", "--sizes", "3", "--trials", "100", "--out-dir", "cal"],
+], ids=["metrics", "metrics_group", "hits", "simulate", "calibrate"])
+def test_no_start_loads_dataclasses(tmp_path, argv):
+    """The package's record classes are ``NamedTuple``s or slotted classes, which generate no
+    code at import: no subcommand loads ``dataclasses``."""
+    (tmp_path / "plate.csv").write_text(PLATE)
+    (tmp_path / "group.csv").write_text("group,value\nneg,0.1\nneg,0.3\npos,5.1\npos,5.3\n")
+    (tmp_path / "fig1.json").write_text(
+        json.dumps({"n": 20, "trials": 1, "mu_diffs": [1], "sigmas": [1]}))
+    probe = ("import sys\n"
+             "from assayqc.cli import main\n"
+             "assert main(sys.argv[1:]) == 0\n"
+             "print('dataclasses' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False", proc.stdout
+
+
 def test_a_start_that_only_parses_loads_neither_json_nor_dataclasses():
-    """Every subcommand loads both later; a parser-only or usage-error start need not."""
+    """Every subcommand loads json later, and none loads dataclasses; a parser-only or
+    usage-error start loads neither."""
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
              "from assayqc.cli import build_parser\n"

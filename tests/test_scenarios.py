@@ -190,3 +190,11 @@ def test_write_tidy_csv_formats_rows_of_raw_values(tmp_path):
         b"fig6,lognormal,9223372036854775807,gssmd,mean,-0\n"
         b'fig6,,3,"x,y",min,0.333333333333\n'
         b"fig6,normal,30,abs_gssmd,max,\n")
+
+
+def test_write_tidy_csv_of_one_column_writes_one_field_a_row(tmp_path):
+    """One column picks a bare value a row, which is written as one field, not iterated."""
+    path = tmp_path / "t.csv"
+    write_tidy_csv(path, ["metric"], [{"metric": "gssmd", "value": 0.5}, {"metric": "x,y"},
+                                      {"metric": 0.1 + 0.2}, {"metric": None}])
+    assert path.read_bytes() == b'metric\ngssmd\n"x,y"\n0.3\n""\n'

@@ -430,8 +430,8 @@ class TestCalibrateNull:
         # Under numpy's default errstate exp(800) is inf without raising, so binning meets it.
         with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
             calibrate_null([10], 100, DistributionSpec.lognormal(800.0, 1.0), 1)
-        assert str(info.value) == ("location 800.0 and scale 1.0: null draws at n = 10 leave the "
-                                   "float range (the pooled range [inf, inf] has no finite width)")
+        assert str(info.value) == ("dist lognormal, location 800.0, scale 1.0, n 10: the pooled "
+                                   "range [inf, inf] has no finite width")
 
 
 def exact_null_mean(dist, n, pools, seed):
