@@ -378,6 +378,37 @@ class TestColumnWiseLoader:
         assert plate_a.value[[0, 2]].tolist() == [1.0, 4.0] and math.isnan(plate_a.value[1])
 
 
+# Plate ids and roles are coded once per run of equal adjacent values: the worst cases
+# for runs, each split across chunks in every way.
+_RUN_WORST_CASES = {
+    "ids-alternate-every-row": [f"p{i % 2 + 1},{i // 2 + 1},1,sample,{i}" for i in range(9)],
+    "ids-differ-only-by-padding": ["p2,1,1,pos,1", " p2 ,1,2,pos,2", "p1,1,1,neg,3",
+                                   "p2 ,1,3,neg,4", " p2,2,1,sample,5", "p1,1,2,sample,6"],
+    "roles-alternate-case-and-padding": [
+        f"p1,1,{c},{role},{c}"
+        for c, role in enumerate(["pos", " POS ", "Pos", "neg", " neg", "NEG ", "pos"], 1)],
+    "empty-id-inside-a-run": ["p1,1,1,pos,1", "p1,1,2,pos,2", ",1,3,pos,3", ",1,4,pos,4",
+                              "p1,1,5,pos,5"],
+    "unknown-role-inside-a-run": ["p1,1,1,pos,1", "p1,1,2,ctl,2", "p1,1,3,ctl,3",
+                                  "p1,1,4,pos,4"],
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, plate_module.CHUNK_ROWS])
+@pytest.mark.parametrize("rows", list(_RUN_WORST_CASES.values()), ids=list(_RUN_WORST_CASES))
+def test_runs_of_ids_and_roles_give_the_row_by_row_plates_or_error(rows, chunk_rows):
+    assert_same_as_row_by_row(HEADER + "\n".join(rows) + "\n", chunk_rows)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, plate_module.CHUNK_ROWS])
+def test_ids_that_differ_only_by_padding_are_one_plate(chunk_rows):
+    text = HEADER + "\n".join(_RUN_WORST_CASES["ids-differ-only-by-padding"]) + "\n"
+    with mock.patch.object(plate_module, "CHUNK_ROWS", chunk_rows):
+        plates = load_text(text)
+    assert [(p.plate_id, p.line_no.tolist()) for p in plates] == [("p2", [2, 3, 5, 6]),
+                                                                   ("p1", [4, 7])]
+
+
 # One bad row per well rule, in the order the rules are checked, a repeated address and
 # rows that break two rules: (CSV data rows, plate id, wells, the message without its line).
 _ONE_BAD_ROW_PER_RULE = [
@@ -509,7 +540,12 @@ def _bench_layout(n_plates):
      for r in range(1, 33) for c in range(1, 49)],
     [f"p1,{r},{c},{'empty' if c % 4 == 0 else 'sample'},{'' if c % 4 == 0 else c / 8}"
      for r in range(1, 33) for c in range(1, 49)],
-], ids=["bench-layout", "R-quoted", "empty-wells"])
+    # Row by row, as R's write.csv writes a plate whose controls sit in every few columns.
+    [",".join([_quoted(f"plate{p}"), str(r), str(c),
+               _quoted("neg" if c % 6 == 1 else "pos" if c % 6 == 4 else "sample"),
+               f"{(r * 48 + c) / 7:.15g}"])
+     for p in range(2) for r in range(1, 33) for c in range(1, 49)],
+], ids=["bench-layout", "R-quoted", "empty-wells", "row-major"])
 def test_common_files_never_reach_the_python_parser(rows, chunk_rows):
     """Every chunk of these files is parsed by numpy's C reader, so none of them is slowed by
     a fall back that no output would show."""
@@ -520,3 +556,32 @@ def test_common_files_never_reach_the_python_parser(rows, chunk_rows):
         plates = load_as_tuples(text)
     assert plates == load_row_by_row(text)
     assert sum(len(wells) for _, wells in plates) == len(rows)
+
+
+@pytest.fixture
+def field_size_limit():
+    """``csv.field_size_limit``, restored after the test."""
+    old = csv.field_size_limit()
+    yield csv.field_size_limit
+    csv.field_size_limit(old)
+
+
+def test_a_line_over_the_csv_field_limit_reaches_the_python_parser(field_size_limit):
+    rows = valid_rows(8)
+    rows[5] = "p1,9,9,sample," + "1." + "0" * 20  # each field within the limit, the line not
+    field_size_limit(32)
+    text = HEADER + "\n".join(rows) + "\n"
+    with mock.patch.object(plate_module, "_python_chunk",
+                           wraps=plate_module._python_chunk) as python_chunk:
+        assert_same_as_row_by_row(text)
+    assert python_chunk.call_count == 1
+
+
+def test_a_chunk_over_the_csv_field_limit_stays_on_the_c_reader(field_size_limit):
+    rows = valid_rows(8)
+    field_size_limit(max(map(len, rows)) + 1)
+    text = HEADER + "\n".join(rows) + "\n"
+    assert len(text) > 4 * csv.field_size_limit()
+    with mock.patch.object(plate_module, "_python_chunk",
+                           side_effect=AssertionError("parsed by the Python fallback")):
+        assert_same_as_row_by_row(text)
