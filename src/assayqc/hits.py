@@ -234,10 +234,9 @@ def fit_logistic_1d(neg, pos) -> LogisticModel:
     if x_neg.max() < x_pos.min() or x_pos.max() < x_neg.min():
         converged = False
 
-    slope = b1 / sd
-    intercept = b0 - b1 * mu / sd
+    slope, intercept = float(b1 / sd), float(b0 - b1 * mu / sd)
     boundary = -intercept / slope if slope != 0 else math.nan
-    return LogisticModel(intercept, slope, float(boundary), converged, iterations)
+    return LogisticModel(intercept, slope, boundary, converged, iterations)
 
 
 class ThresholdEvaluation(NamedTuple):

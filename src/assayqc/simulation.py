@@ -15,6 +15,7 @@ import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import _DIST_NAMES, metrics
 from .errors import (ConfigError, InvalidSubsampleSize, NonFiniteValue, NumericError,
@@ -210,25 +211,24 @@ class ScenarioConfig(Record):
 # --- batched seeding ----------------------------------------------------------
 
 
-#: Trials whose generator states are computed in one batch; it bounds their memory.
+#: Trials whose seed words are computed in one batch; it bounds their memory.
 _SEED_BLOCK = 1024
 
-_M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
+_M32 = 2 ** 32 - 1
 
 
-def _pcg64_states(master: int, *words) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng(derive_seed(master, *key))`` per key.
+def _seed_words(master: int, *words) -> np.ndarray:
+    """``derive_seed(master, *key).generate_state(4, np.uint64)`` per key, one row a key.
 
     The key words are ints or arrays of ints, each below ``2**32``; they
-    broadcast together, and the states come in C order of their shape. Same
-    bits, computed in one numpy pass. Mirrors numpy's ``bit_generator.pyx``:
-    ``SeedSequence(master)`` fills and cross-mixes the pool, which comes out
-    as with the 4-word padding that a spawn key makes numpy apply to the run
-    entropy; then ``mix_entropy`` mixes in each key word with
-    ``hashmix``/``mix``, ``generate_state(4, uint64)`` gives the seed words,
-    and ``pcg64.h``'s ``pcg64_set_seed`` (``pcg_setseq_128_srandom_r``) takes
-    two 128-bit LCG steps. uint32 arithmetic runs on uint64 arrays masked to
-    32 bits, 128-bit arithmetic on Python ints: no numpy scalar, which could
+    broadcast together, and the rows come in C order of their shape. Same
+    bits, computed in one numpy pass. Mirrors numpy's ``SeedSequence`` in
+    ``bit_generator.pyx``: ``SeedSequence(master)`` fills and cross-mixes the
+    pool, which comes out as with the 4-word padding that a spawn key makes
+    numpy apply to the run entropy; then ``mix_entropy`` mixes in each key
+    word with ``hashmix``/``mix``, and ``generate_state`` gives eight uint32
+    words, which pair up little-endian into four uint64. uint32 arithmetic
+    runs on uint64 arrays masked to 32 bits: no numpy scalar, which could
     raise on overflow.
     """
     pool = np.random.SeedSequence(master).pool.tolist()
@@ -246,32 +246,36 @@ def _pcg64_states(master: int, *words) -> list[tuple[int, int]]:
             value ^= value >> 16
             mixed = (pool[d] * 0xCA01F9DD - value * 0x4973F715) & _M32  # mix
             pool[d] = mixed ^ (mixed >> 16)
-    hash_const, words = 0x8B51F9DD, []
+    hash_const, state = 0x8B51F9DD, np.empty(shape + (8,), dtype=np.uint64)
     for j in range(8):  # generate_state
         value = pool[j % 4] ^ hash_const
         hash_const = hash_const * 0x58F38DED & _M32
         value = value * hash_const & _M32
-        words.append(value ^ (value >> 16))
-    # uint32 words pair up little-endian into (seed high, seed low, inc high, inc low).
-    seed_hi, seed_lo, inc_hi, inc_lo = ((words[j] | words[j + 1] << 32).ravel().tolist()
-                                        for j in (0, 2, 4, 6))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = (((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & _M128
-        states.append((state, inc))
-    return states
+        state[..., j] = value ^ (value >> 16)
+    return (state[..., 0::2] | state[..., 1::2] << 32).reshape(-1, 4)
+
+
+class _SeedWords(ISeedSequence):
+    """PCG64's four uint64 seed words from ``_seed_words``; another request gets zeros, which
+    fail ``_batched_seeding_agrees`` rather than leave numpy reading past the four words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words if n_words == 4 and dtype is np.uint64 else np.zeros(n_words, dtype)
 
 
 @functools.cache
 def _batched_seeding_agrees() -> bool:
-    """Whether this numpy's ``default_rng(derive_seed(...))`` matches ``_pcg64_states``.
+    """Whether a generator on ``_seed_words`` has the state of ``default_rng(derive_seed(...))``.
 
     Checked for a sweep's key layout: two grid indices, ``t`` and ``k``, all given as words.
     """
     master, key = 2 ** 63 + 12345, (3, 0, 2 ** 32 - 1, 2)
-    state = np.random.default_rng(derive_seed(master, *key)).bit_generator.state["state"]
-    return _pcg64_states(master, *key) == [(state["state"], state["inc"])]
+    state = np.random.default_rng(derive_seed(master, *key)).bit_generator.state
+    words = _seed_words(master, *key)[0]
+    return np.random.Generator(np.random.PCG64(_SeedWords(words))).bit_generator.state == state
 
 
 def _trial_generators(
@@ -280,10 +284,10 @@ def _trial_generators(
     """``streams`` generators for each trial of each grid cell, cell by cell.
 
     Stream ``k`` of trial ``t`` at the cell with grid indices ``ix`` is seeded
-    as ``derive_seed(seed, *ix, t, k)``. One generator a stream is reseeded
-    with the states of ``_pcg64_states``, computed for ``_SEED_BLOCK`` trials
-    at a time; ``default_rng`` is the fallback when those would not match: a
-    key word of ``2**32`` or more, or a numpy whose seeding differs.
+    as ``derive_seed(seed, *ix, t, k)``. Each is a new generator on its words
+    from ``_seed_words``, computed for ``_SEED_BLOCK`` trials at a time, so
+    numpy seeds PCG64 itself; ``default_rng`` is the fallback when those would
+    not match: a key word of ``2**32`` or more, or a numpy whose seeding differs.
     """
     if (trials > 2 ** 32 or any(w >= 2 ** 32 for ix in indices for w in ix)
             or not _batched_seeding_agrees()):
@@ -291,20 +295,15 @@ def _trial_generators(
             for t in range(trials):
                 yield [np.random.default_rng(derive_seed(seed, *ix, t, k)) for k in range(streams)]
         return
-    rngs = [np.random.Generator(np.random.PCG64(0)) for _ in range(streams)]
     cells = np.array(indices, dtype=np.uint64, ndmin=2)
     total = len(indices) * trials
     for start in range(0, total, _SEED_BLOCK):
         cell, t = np.divmod(np.arange(start, min(start + _SEED_BLOCK, total), dtype=np.uint64),
                             trials)
-        states = iter(_pcg64_states(seed, *cells[cell].T[:, :, None], t[:, None],
-                                    np.arange(streams, dtype=np.uint64)))
-        for _ in range(t.size):
-            for rng, (state, inc) in zip(rngs, states):
-                rng.bit_generator.state = {"bit_generator": "PCG64",
-                                           "state": {"state": state, "inc": inc},
-                                           "has_uint32": 0, "uinteger": 0}
-            yield rngs
+        words = _seed_words(seed, *cells[cell].T[:, :, None], t[:, None],
+                            np.arange(streams, dtype=np.uint64))
+        for trial in words.reshape(t.size, streams, 4):
+            yield [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in trial]
 
 
 # --- trials as rows -------------------------------------------------------------

@@ -569,6 +569,14 @@ class TestHitsCommand:
         assert main(["hits", str(train), *flags, "--format", fmt]) == 0
         assert f"{line}\n" in capsys.readouterr().out
 
+    def test_a_direction_the_controls_overrule_is_noted_once(self, tmp_path, capsys):
+        train, _, _ = self.make_two_plates(tmp_path)  # the positives read higher
+        assert main(["hits", str(train), "--rule", "gssmd", "--direction", "lower"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["direction"] == "higher"
+        assert err == ("note: requested direction 'lower' disagrees with the controls (higher); "
+                       "the gssmd rule derives its direction from the controls\n")
+
     @pytest.mark.parametrize("flags", [["--alpha", "1.5"], ["--rule", "sigma", "--k", "-1"]])
     def test_out_of_range_rule_parameter_exits_2(self, tmp_path, capsys, flags):
         train, _, _ = self.make_two_plates(tmp_path)

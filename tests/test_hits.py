@@ -221,6 +221,17 @@ class TestFitLogistic:
         model = fit_logistic_1d(neg, pos)
         assert model.boundary == pytest.approx(-model.intercept / model.slope)
 
+    def test_coefficients_are_python_floats(self):
+        neg, pos = control_pair(2, 1000, 8)
+        model = fit_logistic_1d(neg, pos)
+        assert [type(v) for v in model] == [float, float, float, bool, int]
+        assert model.boundary == -model.intercept / model.slope
+
+    def test_all_equal_readouts_have_no_boundary(self):
+        model = fit_logistic_1d(np.full(4, 2.5), np.full(3, 2.5))
+        assert model.slope == 0.0 and math.isnan(model.boundary)
+        assert type(model.intercept) is float and type(model.slope) is float
+
 
 class TestEvaluateThreshold:
     def test_disjoint_perfect(self):

@@ -38,6 +38,7 @@ from assayqc import (
     WellRole,
     json_dumps,
 )
+from assayqc.samples import Record
 
 # Arrays shared by every HistogramPair built here: two pairs over distinct equal arrays
 # raise on ``==`` (numpy's elementwise compare has no truth value), as they always have.
@@ -139,6 +140,15 @@ def test_equal_instances_compare_equal(name):
     assert a is not b and a == b and not a != b
     if name in HASHABLE:
         assert hash(a) == hash(b)
+
+
+def test_a_record_never_equals_one_of_another_class():
+    spec = DistributionSpec("normal", 0.0, 1.0)
+    twin = type("Twin", (Record,), {"__slots__": DistributionSpec.__slots__})("normal", 0.0, 1.0)
+    assert spec.__getstate__() == twin.__getstate__()
+    assert spec.__eq__(twin) is NotImplemented
+    assert spec.__eq__(("normal", 0.0, 1.0)) is NotImplemented
+    assert spec != twin and not spec == twin and spec != ThresholdRule(RuleKind.SIGMA, 1.0)
 
 
 @pytest.mark.parametrize("make, error, message", [

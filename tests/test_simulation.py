@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import re
 import warnings
 from unittest import mock
@@ -434,6 +436,19 @@ class TestCalibrateNull:
                                    "range [inf, inf] has no finite width")
 
 
+def null_pool_counts(dist, n, pools, seed):
+    """Bin counts of ``pools`` pooled samples of 2n values from ``dist``, one row a pool.
+
+    Binning is numpy.histogram's with the ceil(1 + log2(2n)) rule, written out here rather
+    than taken from assayqc.
+    """
+    x = np.random.default_rng(seed).normal(dist.location, dist.scale, (pools, 2 * n))
+    if dist.kind == "lognormal":
+        x = np.exp(x)
+    bins = int(np.ceil(1 + np.log2(2 * n)))
+    return np.stack([np.histogram(row, bins=bins)[0] for row in x])
+
+
 def exact_null_mean(dist, n, pools, seed):
     """Exact E|GSSMD| of a null pair, averaged over ``pools`` pooled samples, and its SE.
 
@@ -441,21 +456,38 @@ def exact_null_mean(dist, n, pools, seed):
     shared edges depend on the pooled sample alone; given its bin counts c, the negative
     counts a are multivariate hypergeometric, and |GSSMD| = 1 - sum_j min(a_j, c_j - a_j) / n
     (equal means have probability 0). Each bin's expectation is a sum over a 1-D
-    hypergeometric pmf, computed once per distinct count. Binning is numpy.histogram's with
-    the ceil(1 + log2(2n)) rule, written out here rather than taken from assayqc.
+    hypergeometric pmf, computed once per distinct count.
     """
     from scipy.stats import hypergeom
 
-    x = np.random.default_rng(seed).normal(dist.location, dist.scale, (pools, 2 * n))
-    if dist.kind == "lognormal":
-        x = np.exp(x)
-    bins = int(np.ceil(1 + np.log2(2 * n)))
-    c = np.stack([np.histogram(row, bins=bins)[0] for row in x])
+    c = null_pool_counts(dist, n, pools, seed)
     counts, where = np.unique(c, return_inverse=True)
     a = np.arange(counts.max() + 1)[:, None]  # pmf is 0 for a > c
     e_min = (np.minimum(a, counts - a) * hypergeom.pmf(a, 2 * n, counts, n)).sum(axis=0)
     g = 1.0 - e_min[where.reshape(c.shape)].sum(axis=1) / n
     return g.mean(), g.std(ddof=1) / np.sqrt(pools)
+
+
+class TestLibraryConfigErrors:
+    """The library's own checks, which the CLI's flag rules keep its users from reaching."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: calibrate_null([0], 100, NORMAL, 1), "calibration sizes must be >= 1"),
+        (lambda: calibrate_null([2 ** 63], 100, NORMAL, 1),
+         f"calibration sizes must be under 2**63, got [{2 ** 63}]"),
+        (lambda: draw(NORMAL, 0, 1), "n must be >= 1"),
+        (lambda: inject_outliers(SampleSet([1.0, 2.0]), 1.5, NORMAL, 1),
+         "outlier fraction must lie in [0, 1]"),
+        (lambda: run_noise_sweep(ScenarioConfig(NORMAL, mu_diffs=(1.0,))),
+         "noise sweep needs an snr_db grid"),
+        (lambda: run_noise_sweep(ScenarioConfig(NORMAL, snr_db=(10.0,))),
+         "noise sweep needs a mu_diffs grid"),
+    ], ids=["calibrate_size_0", "calibrate_size_2_63", "draw_n_0", "outlier_fraction",
+            "noise_without_snr_db", "noise_without_mu_diffs"])
+    def test_raises_config_error(self, call, message):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestNullOracle:
@@ -488,6 +520,105 @@ class TestNullOracle:
                             lambda neg, pos, bins: rows(neg, pos + 0.1, bins))
         z = self.z_scores(NORMAL)
         assert z[1000] > self.Z_BOUND, z
+
+
+def overlap_pmf(counts, n):
+    """Exact pmf of m = sum_j min(a_j, c_j - a_j) over m = 0..n, for one pool's counts c.
+
+    The negative counts a are multivariate hypergeometric. Bins are placed one at a time:
+    given p negatives placed in the bins before it, bin j takes a_j of the n - p still
+    unplaced with the 1-D hypergeometric pmf over the 2n - sum_{i<j} c_i values left. A
+    dynamic program over (negatives placed, m so far) carries the joint pmf from bin to bin.
+    """
+    from scipy.stats import hypergeom
+
+    state = np.zeros((n + 1, n + 1))  # [placed, m]
+    state[0, 0], before = 1.0, 0
+    for c in counts[counts > 0]:
+        lo, hi = max(0, before - n), min(before, n)  # the negatives the bins before can hold
+        taken = np.arange(min(c, n - lo) + 1)
+        pmf = hypergeom.pmf(taken[:, None], 2 * n - before, c, n - np.arange(lo, hi + 1))
+        placed = np.zeros_like(state)
+        for a in taken:  # m <= placed, so only the first top + 1 columns can be nonzero
+            shared, top = min(a, c - a), min(hi, n - a)
+            placed[lo + a:top + 1 + a, shared:shared + top + 1] += (
+                state[lo:top + 1, :top + 1] * pmf[a, :top + 1 - lo, None])
+        state, before = placed, before + c
+    return state[n]
+
+
+@functools.cache
+def exact_null_pmfs(dist, n, pools, seed):
+    """``overlap_pmf`` of each of ``pools`` pooled samples, one row a pool: their mean is the
+    null mixture, whose only error is the sampling of the pools."""
+    c = null_pool_counts(dist, n, pools, seed)
+    distinct, where = np.unique(c, axis=0, return_inverse=True)
+    return np.array([overlap_pmf(row, n) for row in distinct])[where.ravel()]
+
+
+def null_tail_z_scores(row, pmfs, trials):
+    """How far a calibrate_null row's p95, p99 and variance lie outside the exact null, in
+    standard errors: positive where they disagree.
+
+    |GSSMD| = 1 - m/n. Each reported percentile x must bracket its level q: the exact mass
+    at or below x at least q ("low" fails where it is not), the mass below x at most q
+    ("high"). Each side allows 1/trials for the interpolation index, and its standard error
+    is the binomial one of ``trials`` draws at q with the pools' own spread. The variance is
+    the mixture's, by the law of total variance over pools, against the sampling error of
+    a ddof=1 variance of ``trials`` draws and the pools' spread (delta method).
+    """
+    n, m = row.n, np.arange(row.n + 1)
+    z = {}
+    for name, q in (("p95", 0.95), ("p99", 0.99)):
+        m_x = n * (1 - getattr(row, name))  # the m of x, between two integers if interpolated
+        for side, mass, sign in (("low", pmfs[:, m >= math.ceil(m_x - 1e-9)].sum(axis=1), -1),
+                                 ("high", pmfs[:, m > math.floor(m_x + 1e-9)].sum(axis=1), 1)):
+            se = np.hypot(np.sqrt(q * (1 - q) / trials), mass.std(ddof=1) / np.sqrt(len(mass)))
+            z[f"{name} {side}"] = (sign * (mass.mean() - q) - 1 / trials) / se
+    g = 1 - m / n
+    means, squares = pmfs @ g, pmfs @ g ** 2
+    mean = means.mean()
+    variance = means.var() + (squares - means ** 2).mean()  # between pools + within them
+    fourth = pmfs.mean(axis=0) @ (g - mean) ** 4
+    se = np.hypot(np.sqrt((fourth - variance ** 2) / trials),
+                  (squares - 2 * mean * means).std(ddof=1) / np.sqrt(len(means)))
+    z["variance"] = abs(row.variance - variance) / se
+    return z
+
+
+class TestNullTailOracle:
+    """calibrate_null's p95, p99 and variance against the exact null distribution of |GSSMD|."""
+
+    # Set from the test's design, not from a run: 4 cells of 5 checks, each a normal test;
+    # z > 4 has probability 3.2e-5 one-sided (6.3e-5 for the variance) under a correct table.
+    Z_BOUND = 4.0
+    TRIALS = 10_000
+    POOLS = {10: 500, 100: 100}  # pool spread below calibrate's binomial error at p95/p99
+
+    def failures(self, dist, seed=505):
+        table = calibrate_null(list(self.POOLS), self.TRIALS, dist, seed)
+        failed = set()
+        for row in table.rows:
+            z = null_tail_z_scores(row, exact_null_pmfs(dist, row.n, self.POOLS[row.n], 7),
+                                   self.TRIALS)
+            failed |= {(row.n, check) for check, v in z.items() if v > self.Z_BOUND}
+        return failed
+
+    @pytest.mark.parametrize("dist", [NORMAL, DistributionSpec.lognormal(0, 1)],
+                             ids=["normal", "lognormal"])
+    def test_tail_and_variance_match_the_exact_null(self, dist):
+        assert self.failures(dist) == set()
+
+    def test_catches_a_second_group_with_a_shifted_location(self, monkeypatch):
+        rows = simulation._gssmd_rows
+        monkeypatch.setattr(simulation, "_gssmd_rows",
+                            lambda neg, pos, bins: rows(neg, pos + 0.2, bins))
+        assert {(100, "p95 high"), (100, "variance")} <= self.failures(NORMAL)
+
+    def test_catches_p999_reported_as_p99(self, monkeypatch):
+        percentiles = simulation._percentiles
+        monkeypatch.setattr(simulation, "_percentiles", lambda v: percentiles(v)[[0, 2, 2]])
+        assert self.failures(NORMAL) == {(10, "p99 high"), (100, "p99 high")}
 
 
 class TestCalibrateNullChunks:
@@ -535,8 +666,15 @@ class TestSeedLayout:
         assert table.rows == recomputed_null_rows([3, 50], 200, NORMAL, 37)
 
 
+def seeded_like_default_rng(words, master, *key):
+    """Whether numpy seeds a generator from ``words`` as ``default_rng(derive_seed(...))``."""
+    rng = np.random.Generator(np.random.PCG64(simulation._SeedWords(words)))
+    state = np.random.default_rng(derive_seed(master, *key)).bit_generator.state
+    return rng.bit_generator.state == state
+
+
 class TestBatchedSeeding:
-    """calibrate_null computes trial states in batches, with the bits of derive_seed."""
+    """calibrate_null computes trial seed words in batches, with the bits of derive_seed."""
 
     @given(master=st.integers(0, 2 ** 128 - 1) | st.integers(2 ** 128, 2 ** 160),
            prefix=st.lists(st.integers(0, 3) | st.integers(0, 2 ** 32 - 1), max_size=3),
@@ -544,19 +682,37 @@ class TestBatchedSeeding:
            start=st.integers(2 ** 32 - 64, 2 ** 32 - 4) | st.integers(0, 100))
     def test_states_match_derive_seed(self, master, prefix, k, start):
         trials = range(start, start + 4)
-        expected = []
-        for t in trials:
-            state = np.random.default_rng(derive_seed(master, *prefix, t, k)).bit_generator.state
-            expected.append((state["state"]["state"], state["state"]["inc"]))
-        assert simulation._pcg64_states(master, *prefix, trials, k) == expected
+        words = simulation._seed_words(master, *prefix, trials, k)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [derive_seed(master, *prefix, t, k).generate_state(4, np.uint64)
+                                  .tolist() for t in trials]
+        assert seeded_like_default_rng(words[-1], master, *prefix, trials[-1], k)
 
     def test_fallback_gives_the_same_table(self, monkeypatch):
         def unused(*args):
-            raise AssertionError("batched states used after a failed check")
+            raise AssertionError("batched seed words used after a failed check")
         monkeypatch.setattr(simulation, "_batched_seeding_agrees", lambda: False)
-        monkeypatch.setattr(simulation, "_pcg64_states", unused)
+        monkeypatch.setattr(simulation, "_seed_words", unused)
         table = calibrate_null([3, 5000], 101, NORMAL, 53)
         assert table.rows == recomputed_null_rows([3, 5000], 101, NORMAL, 53)
+
+    def test_a_numpy_that_seeds_otherwise_takes_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(simulation._SeedWords, "generate_state",
+                            lambda self, n_words, dtype=np.uint32: self.words ^ np.uint64(1))
+        simulation._batched_seeding_agrees.cache_clear()
+        try:
+            assert not simulation._batched_seeding_agrees()
+            table = calibrate_null([3, 5000], 101, NORMAL, 59)
+        finally:
+            monkeypatch.undo()
+            simulation._batched_seeding_agrees.cache_clear()
+        assert table.rows == recomputed_null_rows([3, 5000], 101, NORMAL, 59)
+        assert simulation._batched_seeding_agrees()
+
+    def test_any_other_request_gets_zeros(self):
+        seeds = simulation._SeedWords(simulation._seed_words(5, 1, 2)[0])
+        assert seeds.generate_state(8, np.uint32).tolist() == [0] * 8
+        assert seeds.generate_state(2, np.uint64).tolist() == [0] * 2
 
     def test_block_edges_do_not_show(self, monkeypatch):
         monkeypatch.setattr(simulation, "_SEED_BLOCK", 7)
@@ -767,9 +923,9 @@ class TestBatchedSweeps:
 
     def test_forced_fallback_gives_the_same_points(self, monkeypatch):
         def unused(*args):
-            raise AssertionError("batched states used after a failed check")
+            raise AssertionError("batched seed words used after a failed check")
         monkeypatch.setattr(simulation, "_batched_seeding_agrees", lambda: False)
-        monkeypatch.setattr(simulation, "_pcg64_states", unused)
+        monkeypatch.setattr(simulation, "_seed_words", unused)
         cfg = ScenarioConfig(neg=NORMAL, n=40, seed=2 ** 64 - 1, trials=3, bins=4,
                              outlier_fractions=(0.0, 0.5), outlier_means=(5.0, 20.0))
         assert same_points(run_outlier_sweep(cfg).points, recomputed_outlier_points(cfg))
@@ -914,7 +1070,7 @@ class TestSweepsWithoutRaisingErrstate:
 
 
 class TestGridSeedStates:
-    """_pcg64_states over a whole grid's keys, each word a column, against derive_seed."""
+    """_seed_words over a whole grid's keys, each word a column, against derive_seed."""
 
     @given(master=st.integers(0, 2 ** 160 - 1),
            key=st.lists(st.lists(st.integers(0, 5) | st.integers(2 ** 32 - 8, 2 ** 32 - 1),
@@ -924,8 +1080,9 @@ class TestGridSeedStates:
         # One column a word: they broadcast to every combination of the words.
         columns = [np.array(words, dtype=np.uint64).reshape((-1,) + (1,) * (len(key) - 1 - d))
                    for d, words in enumerate(key)]
-        expected = []
-        for words in itertools.product(*key):
-            state = np.random.default_rng(derive_seed(master, *prefix, *words)).bit_generator.state
-            expected.append((state["state"]["state"], state["state"]["inc"]))
-        assert simulation._pcg64_states(master, *prefix, *columns) == expected
+        keys = list(itertools.product(*key))
+        words = simulation._seed_words(master, *prefix, *columns)
+        assert words.tolist() == [derive_seed(master, *prefix, *k).generate_state(4, np.uint64)
+                                  .tolist() for k in keys]
+        for row in (0, -1):
+            assert seeded_like_default_rng(words[row], master, *prefix, *keys[row])
