@@ -7,10 +7,12 @@ error, or an input too large for memory (a ``MemoryError``, such as a
 sample size that fits in int64 but cannot be allocated), 3 numeric error: a
 metric's precondition failed, or a floating-point overflow, invalid
 operation or division by zero occurred anywhere in the command.
-``simulate`` and ``calibrate`` write their CSVs and a manifest through
-``scenarios.emit_run``. A report bound for a closed stdout exits 2 with one
-line, as a broken pipe does. Before any work, ``main`` checks every flag that
-has a rule in ``assayqc._RULES``, the table that judges every config key.
+``simulate`` and ``calibrate`` run ``scenarios.run_scenario`` and
+``scenarios.run_calibration``, which write the CSVs and a manifest; a malformed
+``SOURCE_DATE_EPOCH`` exits 2 before they write a file. A report bound for a
+closed stdout exits 2 with one line, as a broken pipe does. Before any work,
+``main`` checks every flag that has a rule in ``assayqc._RULES``, the table that
+judges every config key.
 
 ``run`` is the process entry (``python -m assayqc.cli``, the ``assayqc``
 script). The process runs without the cyclic collector, since a command leaves
@@ -251,18 +253,11 @@ def _cmd_hits(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from .scenarios import cell_named, emit_run
-    from .simulation import DistributionSpec, NullCalibrationRow, calibrate_null
+    from .scenarios import run_calibration
 
     config = {"sizes": args.sizes, "trials": args.trials, "dist": args.dist,
               "location": args.location, "scale": args.scale}
-    dist = DistributionSpec(args.dist, args.location, args.scale)
-    with cell_named("calibrate"):
-        table = calibrate_null(args.sizes, args.trials, dist, args.seed, bins=args.bins)
-    columns = ["dist", *NullCalibrationRow._fields]
-    rows = [{"dist": args.dist, **row._asdict()} for row in table.rows]
-    written = emit_run(args.out_dir, {"null_calibration.csv": (columns, rows)},
-                       "calibrate", {**config, "bins": args.bins}, args.seed)
+    written = run_calibration(args.seed, args.out_dir, config, args.bins)
     print(written[0], file=sys.stderr)
     return 0
 

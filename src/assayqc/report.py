@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, metrics
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .overlap import HistogramPair, OverlapResult, build_histogram_pair
 from .samples import Record, SampleSet, SummaryStats, summarize
 
@@ -146,8 +146,11 @@ def _timestamp() -> str:
     # SOURCE_DATE_EPOCH (reproducible-builds convention) pins the timestamp
     # so replayed runs can be compared byte-for-byte.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(epoch) if epoch else None))
+    except (ValueError, OverflowError, OSError):  # not an integer, or past the platform's time_t
+        raise ConfigError("SOURCE_DATE_EPOCH must be an integer count of seconds within the "
+                          f"platform's time range, got {epoch!r}") from None
 
 
 class RunManifest(Record):

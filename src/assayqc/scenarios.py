@@ -1,11 +1,12 @@
-"""Named simulation scenarios (fig1..fig6) and their file emission.
+"""Named simulation scenarios (fig1..fig6), the ``calibrate`` table, and their file emission.
 
 Each scenario resolves a default config (overridable from a JSON config
 file), runs the matching sweep, and writes one tidy long-format CSV per
-panel plus a run manifest. Columns are
-``scenario, <grid parameters...>, metric, aggregate, value`` so any
-plotting tool can recreate the curves; re-running with the same seed
-reproduces every file byte-identically.
+panel plus a run manifest; ``run_calibration`` does the same for one null
+calibration table. A table is its rows, whose first row's keys are its
+CSV's columns: ``scenario, <grid parameters...>, metric, aggregate, value``
+for a panel, so any plotting tool can recreate the curves. Re-running with
+the same seed reproduces every file byte-identically.
 """
 
 from __future__ import annotations
@@ -191,8 +192,7 @@ def _mean_difference_panel(
     sweep = ScenarioConfig(neg=neg, mu_diffs=tuple(cfg["mu_diffs"]), n=cfg["n"],
                            seed=seed, trials=cfg["trials"], bins=bins)
     with cell_named(name, {param: neg.scale}):
-        rows = _result_rows(name, run_mean_difference_sweep(sweep).points, {param: neg.scale})
-    return ["scenario", param, "mu_diff", "metric", "aggregate", "value"], rows
+        return _result_rows(name, run_mean_difference_sweep(sweep).points, {param: neg.scale})
 
 
 def _run_fig1(cfg: dict, seed: int, bins: int | None):
@@ -223,13 +223,7 @@ def _run_fig3(cfg: dict, seed: int, bins: int | None):
     )
     with cell_named("fig3"):
         result = run_outlier_sweep(sweep)
-    rows = _result_rows("fig3", result.points)
-    return {
-        "fig3_outliers.csv": (
-            ["scenario", "fraction", "outlier_mean", "metric", "aggregate", "value"],
-            rows,
-        )
-    }
+    return {"fig3_outliers.csv": _result_rows("fig3", result.points)}
 
 
 def _noise_config(cfg: dict, n: int, seed: int, bins: int | None) -> ScenarioConfig:
@@ -245,25 +239,18 @@ def _noise_config(cfg: dict, n: int, seed: int, bins: int | None) -> ScenarioCon
 
 
 def _run_noise_figure(name: str, cfg: dict, seed: int, bins: int | None):
-    base_cols = ["scenario", "mu_diff", "snr_db", "metric", "aggregate", "value"]
     with cell_named(name):
         result = run_noise_sweep(_noise_config(cfg, cfg["n"], _panel_seed(seed, 0), bins))
     files = {
-        f"{name}_panelA.csv": (base_cols, _result_rows(name, result.points)),
-        f"{name}_panelB.csv": (
-            base_cols,
-            _scaled_rows(name, result, curve_key="mu_diff", axis_key="snr_db"),
-        ),
+        f"{name}_panelA.csv": _result_rows(name, result.points),
+        f"{name}_panelB.csv": _scaled_rows(name, result, curve_key="mu_diff", axis_key="snr_db"),
     }
     rows_c = []
     for k, size in enumerate(cfg["panel_c_sizes"]):
         with cell_named(name, {"n": int(size)}):
             res_k = run_noise_sweep(_noise_config(cfg, int(size), _panel_seed(seed, 1, k), bins))
         rows_c.extend(_result_rows(name, res_k.points, {"n": int(size)}))
-    files[f"{name}_panelC.csv"] = (
-        ["scenario", "n", "mu_diff", "snr_db", "metric", "aggregate", "value"],
-        rows_c,
-    )
+    files[f"{name}_panelC.csv"] = rows_c
     return files
 
 
@@ -288,11 +275,9 @@ def _run_fig5(cfg: dict, seed: int, bins: int | None):
     extra = {"subsample_size": cfg["subsample_size"], "repeats": cfg["subsample_repeats"]}
     with cell_named("fig5", extra):
         points = _subsample_panel(cfg, _panel_seed(seed, 2), bins)
-    files["fig5_panelD.csv"] = (
-        ["scenario", "mu_diff", "snr_db", "subsample_size", "repeats",
-         "metric", "aggregate", "value"],
-        _result_rows("fig5", points, extra),
-    )
+    # The panel's own settings follow its grid's columns.
+    files["fig5_panelD.csv"] = _result_rows(
+        "fig5", [p._replace(params={**p.params, **extra}) for p in points])
     return files
 
 
@@ -308,12 +293,7 @@ def _run_fig6(cfg: dict, seed: int, bins: int | None):
             for metric, agg_name, value in [*cells, ("gssmd", "mean", r.mean_signed)]:
                 rows.append({"scenario": "fig6", "dist": dist_kind, "n": r.n,
                              "metric": metric, "aggregate": agg_name, "value": value})
-    return {
-        "fig6_null_calibration.csv": (
-            ["scenario", "dist", "n", "metric", "aggregate", "value"],
-            rows,
-        )
-    }
+    return {"fig6_null_calibration.csv": rows}
 
 
 _RUNNERS = {
@@ -326,31 +306,23 @@ _RUNNERS = {
 }
 
 
-def emit_run(
-    out_dir, files: dict[str, tuple[list[str], list[dict]]], subcommand: str,
-    config: dict, seed: int,
-) -> list[Path]:
-    """Write each ``filename: (columns, rows)`` table as a CSV, then manifest.json.
+def emit_run(out_dir, tables: dict[str, list[dict]], manifest: RunManifest) -> list[Path]:
+    """Write each ``filename: rows`` table as a CSV whose columns are its first row's keys,
+    record its sha256 in ``manifest.outputs``, then write ``manifest`` as manifest.json.
 
-    The manifest records the sha256 of every CSV and ``config``, whose values
-    its callers have checked against ``assayqc._RULES``: every number is finite, so
-    the manifest can hold it. Returns the written paths (manifest last).
+    A runner builds ``manifest`` before its trials, so its timestamp, which a malformed
+    ``SOURCE_DATE_EPOCH`` fails, is taken before any work. The manifest's config holds values
+    that the runner checked against ``assayqc._RULES``: every number is finite, so the
+    manifest can hold it. Returns the written paths (manifest last).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    hashes = {}
-    for filename, (columns, rows) in files.items():
+    for filename, rows in tables.items():  # the config rules allow no empty grid
         path = out / filename
-        write_tidy_csv(path, columns, rows)
-        hashes[filename] = hashlib.sha256(path.read_bytes()).hexdigest()
-        written.append(path)
-
-    manifest = RunManifest(subcommand=subcommand, config=config, seed=seed, outputs=hashes)
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(manifest.to_json(), encoding="utf-8", newline="\n")
-    written.append(manifest_path)
-    return written
+        write_tidy_csv(path, list(rows[0]), rows)
+        manifest.outputs[filename] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8", newline="\n")
+    return [out / filename for filename in [*tables, "manifest.json"]]
 
 
 def run_scenario(
@@ -372,5 +344,22 @@ def run_scenario(
         _check_config({"bins": replayed_bins}, f"config key {{!r}} for scenario {name}")
     if bins is None:
         bins = replayed_bins
-    files = _RUNNERS[name](cfg, seed, bins)
-    return emit_run(out_dir, files, "simulate", {"scenario": name, **cfg, "bins": bins}, seed)
+    manifest = RunManifest(subcommand="simulate", config={"scenario": name, **cfg, "bins": bins},
+                           seed=seed)
+    return emit_run(out_dir, _RUNNERS[name](cfg, seed, bins), manifest)
+
+
+def run_calibration(seed: int, out_dir, config: dict, bins: int | None = None) -> list[Path]:
+    """Run ``calibrate``: the null calibration table for ``config`` (its keys sizes, trials,
+    dist, location and scale), written as null_calibration.csv plus manifest.json.
+
+    ``config`` is judged by ``assayqc._RULES`` before any trial, as a scenario's is.
+    Returns the written paths (manifest last).
+    """
+    _check_config(config, "config key {!r} for calibrate")
+    manifest = RunManifest(subcommand="calibrate", config={**config, "bins": bins}, seed=seed)
+    dist = DistributionSpec(config["dist"], float(config["location"]), float(config["scale"]))
+    with cell_named("calibrate"):
+        table = calibrate_null(config["sizes"], config["trials"], dist, seed, bins)
+    rows = [{"dist": config["dist"], **row._asdict()} for row in table.rows]
+    return emit_run(out_dir, {"null_calibration.csv": rows}, manifest)

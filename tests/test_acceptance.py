@@ -41,6 +41,7 @@ from assayqc import (
     summarize,
     z_factor,
 )
+from test_simulation import exact_null_mean
 
 NORMAL = DistributionSpec.normal(0, 1)
 
@@ -171,10 +172,16 @@ def test_criterion_5_null_calibration():
     # sampling noise of the per-bin masses puts the null 99.9th percentile
     # of |GSSMD| near 0.07, and the 1+log2(N) rule yields ~0.09-0.10. The
     # assertion is kept at its stated tolerance; see the measured value.
+    # Context only, no bound: the exact null mean of |GSSMD| at n = 1000 over TestNullOracle's
+    # pools, which places the tail against where the null distribution sits.
+    exact, se = exact_null_mean(NORMAL, 1000, 200, seed=7)
+    mean_1000 = next(row.mean for row in table.rows if row.n == 1000)
     detail = (f"p99.9(|GSSMD|) at n=1000 = {p999[1000]:.4f} (required <=0.05: "
               f"{'ok' if bound_ok else 'UNMET'}), tail over n grid "
               + " >= ".join(f"{p999[n]:.4f}" for n in (10, 100, 1000, 10**4))
-              + f" (non-increasing: {'ok' if monotone else 'UNMET'}), {elapsed:.0f}s")
+              + f" (non-increasing: {'ok' if monotone else 'UNMET'}), mean at n=1000 "
+              f"{mean_1000:.4f} against the exact null mean {exact:.4f} (SE {se:.4f}), "
+              f"{elapsed:.0f}s")
     assert _report(5, "null calibration", ok, detail), detail
 
 

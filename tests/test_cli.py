@@ -793,6 +793,30 @@ def test_an_input_too_large_for_memory_exits_2_with_one_line(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "fig1", "--seed", "1"],
+    ["calibrate", "--seed", "1", "--sizes", "3", "--trials", "100"],
+], ids=["simulate", "calibrate"])
+def test_a_malformed_source_date_epoch_exits_2_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                                epoch, argv):
+    """Not an integer, or past the platform's time_t: one line naming the variable, with no
+    trial drawn and no file written, since a run takes its manifest's timestamp first."""
+    from assayqc import simulation
+
+    def no_trial(dist, n, rng):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(simulation, "_sample", no_trial)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: SOURCE_DATE_EPOCH must be an integer count of seconds within the platform's "
+        f"time range, got {epoch!r}\n")
+    assert list(out.iterdir()) == []
+
+
 _CAP = 2**31 - 1  # the largest --bins
 
 

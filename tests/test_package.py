@@ -96,6 +96,19 @@ def test_modules_import_only_the_listed_private_names():
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
 
 
+def test_cli_runs_the_file_writing_commands_through_their_run_entries():
+    """``simulate`` and ``calibrate`` are ``scenarios.run_scenario`` and ``run_calibration``:
+    the CLI builds no table and no manifest, so it imports nothing from ``simulation`` and,
+    from ``scenarios``, only those two and the config file reader."""
+    imported = {}
+    tree = ast.parse((ROOT / "src" / "assayqc" / "cli.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert "simulation" not in imported
+    assert imported["scenarios"] == {"load_config_file", "run_scenario", "run_calibration"}
+
+
 class TestNamespace:
     def test_all_is_unchanged(self):
         assert assayqc.__all__ == ALL_NAMES

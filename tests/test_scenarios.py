@@ -5,12 +5,13 @@ import pytest
 
 from assayqc import _RULES, UnknownScenario, _check_config, run_scenario
 from assayqc.errors import ConfigError
-from assayqc.cli import build_parser, number
+from assayqc.cli import build_parser, main, number
 from assayqc.scenarios import (
     SCENARIO_NAMES,
     default_config,
     load_config_file,
     resolve_config,
+    run_calibration,
     write_tidy_csv,
 )
 
@@ -166,6 +167,35 @@ class TestRunScenarioDeterminism:
                 run_scenario(name, 77, out, cfg)
             for path in sorted(out1.iterdir()):
                 assert path.read_bytes() == (out2 / path.name).read_bytes()
+
+
+class TestRunCalibration:
+    """``calibrate`` as a library call."""
+
+    CONFIG = {"sizes": [3, 10], "trials": 100, "dist": "lognormal", "location": 0.5,
+              "scale": 2.0}
+    FLAGS = ["--sizes", "3", "10", "--trials", "100", "--dist", "lognormal",
+             "--location", "0.5", "--scale", "2"]
+
+    @pytest.mark.parametrize("bins", [None, 4])
+    def test_writes_the_bytes_of_the_calibrate_command(self, tmp_path, monkeypatch, bins):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        flags = self.FLAGS if bins is None else [*self.FLAGS, "--bins", str(bins)]
+        assert main(["calibrate", "--seed", "5", *flags, "--out-dir", str(tmp_path / "cli")]) == 0
+        written = run_calibration(5, tmp_path / "lib", self.CONFIG, bins)
+        assert [p.name for p in written] == ["null_calibration.csv", "manifest.json"]
+        assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == sorted(
+            p.name for p in written)
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "cli" / path.name).read_bytes()
+
+    def test_a_config_that_breaks_a_rule_raises_before_any_file(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as exc:
+            run_calibration(1, out, {**self.CONFIG, "sizes": [10, 10]})
+        assert str(exc.value) == ("config key 'sizes' for calibrate repeats 10; "
+                                  "each grid value must appear once")
+        assert not out.exists()
 
 
 def test_write_tidy_csv_formats_rows_of_raw_values(tmp_path):
